@@ -78,7 +78,7 @@ constexpr SimTime kStorageOpPeriod = 0.7;
 // the generator's canon (chain, fork-join, diamond, layered).
 constexpr SimTime kDagSubmitPeriod = 6.0;
 
-// Snapshots the whole system into a vcl-incident-v1 bundle at the instant
+// Snapshots the whole system into a vcl-incident-v2 bundle at the instant
 // `first` fired. Runs inside the oracle's violation hook — i.e. inside a
 // cloud refresh or terminal transition — so it only reads const accessors
 // and never touches the simulator. Ids use the bundle convention 0 = none
@@ -376,7 +376,7 @@ ChaosEpisode run_chaos_episode(const ChaosScenarioConfig& config,
       }
     }
     // The forensic bundle rides next to the repro and the trace
-    // (vcl-incident-v1, rendered by tools/vcl_incident). Only written when
+    // (vcl-incident-v2, rendered by tools/vcl_incident). Only written when
     // a violation actually fired — absence means "episode was clean".
     if (incident_captured) {
       std::ofstream os(telemetry_dir + "/incident.jsonl");

@@ -87,10 +87,11 @@ void VehicularCloudSystem::start() {
       CloudId{1}, net, std::move(membership), std::move(region),
       make_scheduler(config_.scheduler), config_.cloud,
       scenario_.fork_rng(7));
-  // The flight recorder is always on (DESIGN.md §12): unlike telemetry it
-  // is wired unconditionally — fixed memory, no RNG, no scheduling impact,
-  // so the run stays bit-identical while the black box fills.
-  cloud_->set_flight(&flight_);
+  // The recorder is always wired (DESIGN.md §12): its flight ring is fixed
+  // memory, draws no RNG and schedules nothing, so the run stays
+  // bit-identical while the black box fills. Tracing attaches later.
+  net.set_recorder(&recorder_);
+  cloud_->set_recorder(&recorder_);
   if (config_.invariant_oracle) {
     // Attach before the initial refresh so the very first end-of-round scan
     // is already checked.
@@ -112,7 +113,7 @@ void VehicularCloudSystem::start() {
     adm.test_drop_revoked_requeue =
         config_.adversary.test_drop_revoked_requeue;
     admission_ = std::make_unique<vcloud::AdmissionControl>(adm);
-    admission_->set_flight(&flight_);
+    admission_->set_recorder(&recorder_);
     cloud_->set_admission(admission_.get());
     // The auth invariants only arm on a defended run: with the door
     // deliberately open (the E24 vulnerable baseline) membership pollution
@@ -144,7 +145,7 @@ void VehicularCloudSystem::start() {
     injector_ = std::make_unique<fault::FaultInjector>(
         net, std::move(plan), scenario_.fork_rng(14));
     injector_->register_cloud(*cloud_);
-    injector_->set_flight(&flight_);
+    injector_->set_recorder(&recorder_);
     injector_->attach();
   }
 
@@ -164,7 +165,7 @@ void VehicularCloudSystem::start() {
   if (config_.storage.enabled) {
     storage_ = std::make_unique<storage::StorageService>(
         net, *cloud_, config_.storage, scenario_.fork_rng(21));
-    storage_->set_flight(&flight_);
+    storage_->set_recorder(&recorder_);
     storage_->attach();
     if (oracle_ != nullptr) {
       oracle_->set_storage(storage_.get());
@@ -188,7 +189,7 @@ void VehicularCloudSystem::start() {
     }
     dag_ = std::make_unique<dag::DagScheduler>(net, *cloud_, config_.dag,
                                                scenario_.fork_rng(23));
-    dag_->set_flight(&flight_);
+    dag_->set_recorder(&recorder_);
     dag_->attach();
     if (oracle_ != nullptr) {
       oracle_->set_dag(dag_.get());
@@ -200,22 +201,17 @@ void VehicularCloudSystem::start() {
     }
   }
 
-  // Telemetry last: every subsystem exists, so the recorder and the gauges
-  // can be threaded through in one place. Telemetry reads state and emits
+  // Telemetry last: every subsystem exists, so the trace sink and the
+  // gauges attach in one place. Telemetry reads state and emits
   // events but never perturbs RNG streams or scheduling of the workload
   // itself (the sampler adds kernel events, which is why it is opt-in).
   if (config_.telemetry.any()) {
     telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
     if (config_.telemetry.tracing) {
-      net.set_trace(&telemetry_->trace);
-      cloud_->set_trace(&telemetry_->trace);
-      if (injector_ != nullptr) injector_->set_trace(&telemetry_->trace);
-      if (storage_ != nullptr) storage_->set_trace(&telemetry_->trace);
-      if (dag_ != nullptr) dag_->set_trace(&telemetry_->trace);
-      telemetry_->trace.record(scenario_.simulator().now(),
-                               obs::TraceCategory::kSim, "sim.start",
-                               {{"vehicles",
-                                 static_cast<double>(config_.scenario.vehicles)}});
+      recorder_.set_trace(&telemetry_->trace);
+      obs::record(
+          &recorder_, obs::ev::kSimStart, scenario_.simulator().now(),
+          {"vehicles", static_cast<double>(config_.scenario.vehicles)});
     }
     if (config_.telemetry.metrics) {
       net.register_metrics(telemetry_->metrics);

@@ -15,7 +15,7 @@
 #include "core/scenario.h"
 #include "dag/scheduler.h"
 #include "fault/fault_injector.h"
-#include "obs/flight_recorder.h"
+#include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "storage/service.h"
 #include "vcloud/cloud.h"
@@ -114,18 +114,20 @@ class VehicularCloudSystem {
   // exists (the driver resolves planned attack events; without an injector
   // there is nothing to resolve).
   [[nodiscard]] AdversaryDriver* adversary() { return adversary_.get(); }
-  // ALWAYS present (DESIGN.md §12): the fixed-memory forensic flight
-  // recorder is wired into every subsystem at start(), telemetry on or
-  // off. RNG-neutral and allocation-free after construction, so runs are
+  // ALWAYS present (DESIGN.md §12): the flight ring of the one event
+  // recorder, wired into every subsystem at start(), telemetry on or off
+  // (tracing attaches the telemetry's TraceRecorder as its second sink).
+  // RNG-neutral and allocation-free after construction, so runs are
   // bit-identical with or without anyone reading it.
-  [[nodiscard]] obs::FlightRecorder& flight() { return flight_; }
-  [[nodiscard]] const obs::FlightRecorder& flight() const { return flight_; }
+  [[nodiscard]] const obs::FlightRecorder& flight() const {
+    return recorder_.flight();
+  }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
  private:
   SystemConfig config_;
   Scenario scenario_;
-  obs::FlightRecorder flight_;
+  obs::Recorder recorder_;
   cluster::MovingZone zones_;
   auth::TrustedAuthority ta_;
   std::unique_ptr<vcloud::VehicularCloud> cloud_;

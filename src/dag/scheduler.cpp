@@ -81,21 +81,20 @@ std::uint64_t DagScheduler::submit_graph(TaskGraph graph, SimTime now) {
   g.nodes.assign(g.graph.size(), NodeRun{});
   ++stats_.graphs_submitted;
 
-  if (trace_ != nullptr) {
-    g.trace.trace_id = trace_->new_trace_id();
-    g.trace.span_id = trace_->begin_span(
-        now, obs::TraceCategory::kDag, "dag.run",
-        obs::TraceContext{g.trace.trace_id, 0},
+  if (rec_ != nullptr && rec_->tracing()) {
+    g.trace.trace_id = rec_->new_trace_id();
+    g.trace.span_id = rec_->begin_span(
+        obs::ev::kDagRun, now, obs::TraceContext{g.trace.trace_id, 0},
         {{"graph", static_cast<double>(id)},
          {"nodes", static_cast<double>(g.graph.size())},
          {"work", g.graph.total_work()}});
     // The dependency edges ride along as instants so trace analysis can
     // rebuild the graph and walk the true critical path (DESIGN.md §8).
     for (const DagEdge& e : g.graph.edges()) {
-      trace_->record(now, obs::TraceCategory::kDag, "dag.edge", g.trace,
-                     {{"from", static_cast<double>(e.from)},
-                      {"to", static_cast<double>(e.to)},
-                      {"mb", e.transfer_mb}});
+      obs::record(rec_, obs::ev::kDagEdge, now, g.trace,
+                  {"from", static_cast<double>(e.from)},
+                  {"to", static_cast<double>(e.to)},
+                  {"mb", e.transfer_mb});
     }
   }
 
@@ -145,18 +144,18 @@ void DagScheduler::submit_attempt(GraphRun& g, std::size_t node,
   // Pre-stamp the dag.run context: the cloud parents the attempt's
   // task.life span under it instead of rooting a fresh trace, so the whole
   // graph run is one trace tree.
-  if (trace_ != nullptr && g.trace.trace_id != 0) spec.trace = g.trace;
+  if (g.trace.trace_id != 0) spec.trace = g.trace;
   const TaskId id = cloud_.submit(std::move(spec));
   task_to_node_[id.value()] = {g.id, node};
   n.attempts.push_back(id);
   ++n.attempt_count;
   ++n.live;
   ++stats_.nodes_submitted;
-  if (trace_ != nullptr && g.trace.trace_id != 0) {
-    trace_->record(now, obs::TraceCategory::kDag, "dag.node", g.trace,
-                   {{"node", static_cast<double>(node)},
-                    {"task", static_cast<double>(id.value())},
-                    {"attempt", static_cast<double>(n.attempt_count)}});
+  if (g.trace.trace_id != 0) {
+    obs::record(rec_, obs::ev::kDagNode, now, g.trace,
+                {"node", static_cast<double>(node)},
+                {"task", static_cast<double>(id.value())},
+                {"attempt", static_cast<double>(n.attempt_count)});
   }
 }
 
@@ -228,10 +227,9 @@ void DagScheduler::complete_graph(GraphRun& g, SimTime now) {
 void DagScheduler::fail_graph(GraphRun& g, SimTime now) {
   g.failed = true;
   ++stats_.graphs_failed;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kDag, "dag.graph.fail", g.id,
-                    g.succeeded_count);
-  }
+  obs::record(rec_, obs::ev::kDagGraphFail, now, g.trace,
+              {"graph", static_cast<double>(g.id)},
+              {"succeeded", static_cast<double>(g.succeeded_count)});
   // The broker discards the parked outputs of a failed graph.
   g.intermediates_held = 0;
   close_graph_trace(g, now, obs::kOutcomeFailed);
@@ -239,10 +237,10 @@ void DagScheduler::fail_graph(GraphRun& g, SimTime now) {
 
 void DagScheduler::close_graph_trace(GraphRun& g, SimTime now,
                                      double outcome) {
-  if (trace_ == nullptr || g.trace.span_id == 0) return;
-  trace_->end_span(now, obs::TraceCategory::kDag, "dag.run", g.trace,
-                   {{"outcome", outcome},
-                    {"succeeded", static_cast<double>(g.succeeded_count)}});
+  if (g.trace.span_id == 0) return;
+  rec_->end_span(obs::ev::kDagRun, now, g.trace,
+                 {{"outcome", outcome},
+                  {"succeeded", static_cast<double>(g.succeeded_count)}});
   g.trace.span_id = 0;
 }
 
@@ -281,10 +279,9 @@ void DagScheduler::reliability_scan() {
       }
       if (at_risk) {
         ++stats_.backups;
-        if (flight_ != nullptr) {
-          flight_->record(now, obs::FlightCategory::kDag, "dag.backup", g.id,
-                          i);
-        }
+        obs::record(rec_, obs::ev::kDagBackup, now, g.trace,
+                    {"graph", static_cast<double>(g.id)},
+                    {"node", static_cast<double>(i)});
         submit_attempt(g, i, now);
       }
     }

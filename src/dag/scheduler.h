@@ -40,8 +40,7 @@
 #include <vector>
 
 #include "dag/task_graph.h"
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "util/quantile_sketch.h"
 #include "util/stats.h"
 #include "vcloud/cloud.h"
@@ -124,11 +123,10 @@ class DagScheduler final : public vcloud::DagIntrospection {
   [[nodiscard]] VehicleId storm_victim(std::uint64_t tag) const;
 
   // Nullable hookups, same inertness contract as the cloud's.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
   void set_oracle(vcloud::InvariantOracle* oracle) { oracle_ = oracle; }
-  // Always-on forensics (DESIGN.md §12): backup launches and graph
-  // failures land in the flight recorder.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  // Backup launches and graph failures land in the always-on flight ring
+  // (DESIGN.md §12); dag.run spans and the graph's edges are trace-only.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
   // --- DagIntrospection (invariant oracle view) ------------------------------
   void for_each_graph(
@@ -184,8 +182,7 @@ class DagScheduler final : public vcloud::DagIntrospection {
       task_to_node_;
   std::uint64_t next_graph_id_ = 1;
   DagStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
   vcloud::InvariantOracle* oracle_ = nullptr;
 };
 

@@ -1,9 +1,7 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -430,66 +428,6 @@ bool parse_kind(const std::string& name, FaultKind& out) {
   return true;
 }
 
-// Flat single-line JSON object scanner (same shape trace_analysis parses):
-// string or numeric values only, no nesting.
-bool parse_flat_object(const std::string& line,
-                       std::vector<std::pair<std::string, std::string>>& strs,
-                       std::vector<std::pair<std::string, double>>& nums,
-                       std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  };
-  const auto eat = [&](char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  const auto read_string = [&](std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) out += line[pos++];
-      else out += c;
-    }
-    return false;
-  };
-  if (!eat('{')) return fail("line does not start with '{'");
-  bool first = true;
-  while (true) {
-    if (eat('}')) return true;
-    if (!first && !eat(',')) return fail("expected ',' between members");
-    first = false;
-    std::string key;
-    if (!read_string(key) || !eat(':')) return fail("malformed key");
-    skip_ws();
-    if (pos < line.size() && line[pos] == '"') {
-      std::string value;
-      if (!read_string(value)) return fail("unterminated string value");
-      strs.emplace_back(std::move(key), std::move(value));
-      continue;
-    }
-    const char* start = line.c_str() + pos;
-    char* end = nullptr;
-    const double num = std::strtod(start, &end);
-    if (end == start) return fail("malformed value");
-    pos += static_cast<std::size_t>(end - start);
-    nums.emplace_back(std::move(key), num);
-  }
-}
-
 }  // namespace
 
 bool parse_fault_plan_jsonl(std::istream& is, FaultPlan& plan,
@@ -506,36 +444,32 @@ bool parse_fault_plan_jsonl(std::istream& is, FaultPlan& plan,
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::vector<std::pair<std::string, std::string>> strs;
-    std::vector<std::pair<std::string, double>> nums;
+    obs::FlatRecord r;
     std::string parse_error;
-    if (!parse_flat_object(line, strs, nums, &parse_error)) {
+    if (!r.scan(line, &parse_error)) {
       return fail("line " + std::to_string(line_no) + ": " + parse_error);
     }
-    const auto str_of = [&](const char* key) -> const std::string* {
-      for (const auto& [k, v] : strs) {
-        if (k == key) return &v;
-      }
-      return nullptr;
-    };
-    const auto num_of = [&](const char* key, double fallback) {
-      for (const auto& [k, v] : nums) {
-        if (k == key) return v;
-      }
-      return fallback;
-    };
-    if (const std::string* m = str_of("meta"); m != nullptr) {
-      if (*m != "vcl-fault-plan-v1") {
-        return fail("unsupported schema '" + *m + "'");
+    if (const obs::FlatValue* m = r.find("meta"); m != nullptr) {
+      if (!m->is_string || m->text != "vcl-fault-plan-v1") {
+        return fail("unsupported schema '" + m->text + "'");
       }
       saw_meta = true;
-      for (const auto& [k, v] : nums) {
-        if (k == "seed") meta.seed = static_cast<std::uint64_t>(v);
-        else if (k != "events") meta.extra.emplace_back(k, v);
+      for (const auto& [k, v] : r.members()) {
+        if (v.is_string || k == "events") continue;
+        double num = 0.0;
+        if (!obs::FlatRecord::parse_number(v.text, num)) {
+          return fail("line " + std::to_string(line_no) + ": key '" + k +
+                      "' is not a number");
+        }
+        if (k == "seed") meta.seed = static_cast<std::uint64_t>(num);
+        else meta.extra.emplace_back(k, num);
       }
       continue;
     }
-    const std::string* kind_name = str_of("kind");
+    const obs::FlatValue* kind_value = r.find("kind");
+    const std::string* kind_name =
+        kind_value != nullptr && kind_value->is_string ? &kind_value->text
+                                                       : nullptr;
     if (kind_name == nullptr) {
       return fail("line " + std::to_string(line_no) + ": missing \"kind\"");
     }
@@ -544,46 +478,49 @@ bool parse_fault_plan_jsonl(std::istream& is, FaultPlan& plan,
       return fail("line " + std::to_string(line_no) + ": unknown kind '" +
                   *kind_name + "'");
     }
-    e.at = num_of("at", 0.0);
+    e.at = r.num_or("at", 0.0);
     switch (e.kind) {
       case FaultKind::kVehicleCrash: {
-        const double v = num_of("vehicle", -1.0);
+        const double v = r.num_or("vehicle", -1.0);
         if (v >= 0.0) e.vehicle = VehicleId{static_cast<std::uint64_t>(v)};
         e.storage_tag =
-            static_cast<std::uint64_t>(num_of("storage_tag", 0.0));
-        e.dag_tag = static_cast<std::uint64_t>(num_of("dag_tag", 0.0));
+            static_cast<std::uint64_t>(r.num_or("storage_tag", 0.0));
+        e.dag_tag = static_cast<std::uint64_t>(r.num_or("dag_tag", 0.0));
         break;
       }
       case FaultKind::kBrokerCrash:
         break;
       case FaultKind::kRsuOutage: {
-        const double r = num_of("rsu", -1.0);
-        if (r >= 0.0) e.rsu = RsuId{static_cast<std::uint64_t>(r)};
-        e.repair_after = num_of("repair_after", 0.0);
+        const double rsu = r.num_or("rsu", -1.0);
+        if (rsu >= 0.0) e.rsu = RsuId{static_cast<std::uint64_t>(rsu)};
+        e.repair_after = r.num_or("repair_after", 0.0);
         break;
       }
       case FaultKind::kRadioBlackout:
-        e.center = {num_of("x", 0.0), num_of("y", 0.0)};
-        e.radius = num_of("radius", 0.0);
-        e.duration = num_of("duration", 0.0);
+        e.center = {r.num_or("x", 0.0), r.num_or("y", 0.0)};
+        e.radius = r.num_or("radius", 0.0);
+        e.duration = r.num_or("duration", 0.0);
         break;
       case FaultKind::kSybilJoin:
-        e.attack_tag = static_cast<std::uint64_t>(num_of("attack_tag", 0.0));
+        e.attack_tag = static_cast<std::uint64_t>(r.num_or("attack_tag", 0.0));
         break;
       case FaultKind::kRevokeIdentity: {
-        const double v = num_of("vehicle", -1.0);
+        const double v = r.num_or("vehicle", -1.0);
         if (v >= 0.0) e.vehicle = VehicleId{static_cast<std::uint64_t>(v)};
         break;
       }
       case FaultKind::kCrlDeliver:
-        e.crl_horizon_after = num_of("horizon_after", 0.0);
+        e.crl_horizon_after = r.num_or("horizon_after", 0.0);
         break;
       case FaultKind::kReplayInject:
-        e.attack_tag = static_cast<std::uint64_t>(num_of("attack_tag", 0.0));
-        e.replay_age = num_of("age", 0.0);
+        e.attack_tag = static_cast<std::uint64_t>(r.num_or("attack_tag", 0.0));
+        e.replay_age = r.num_or("age", 0.0);
         break;
     }
-    e.group = static_cast<std::uint64_t>(num_of("group", 0.0));
+    e.group = static_cast<std::uint64_t>(r.num_or("group", 0.0));
+    if (!r.error().empty()) {
+      return fail("line " + std::to_string(line_no) + ": " + r.error());
+    }
     plan.push_back(e);
   }
   if (!saw_meta) return fail("missing vcl-fault-plan-v1 meta record");

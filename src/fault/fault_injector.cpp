@@ -59,15 +59,8 @@ void FaultInjector::fire(const FaultEvent& e) {
       if (!victim.valid() || net_.traffic().find(victim) == nullptr) return;
       crash_vehicle(victim);
       ++stats_.vehicle_crashes;
-      if (trace_ != nullptr) {
-        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                       "fault.crash",
-                       {{"vehicle", static_cast<double>(victim.value())}});
-      }
-      if (flight_ != nullptr) {
-        flight_->record(net_.simulator().now(), obs::FlightCategory::kFault,
-                        "fault.crash", victim.value());
-      }
+      obs::record(rec_, obs::ev::kFaultCrash, net_.simulator().now(),
+                  {"vehicle", static_cast<double>(victim.value())});
       return;
     }
     case FaultKind::kBrokerCrash: {
@@ -78,16 +71,9 @@ void FaultInjector::fire(const FaultEvent& e) {
         if (broker.valid() && net_.traffic().find(broker) != nullptr) {
           crash_vehicle(broker);
           ++stats_.broker_crashes;
-          if (trace_ != nullptr) {
-            trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                           "fault.broker.crash",
-                           {{"vehicle", static_cast<double>(broker.value())}});
-          }
-          if (flight_ != nullptr) {
-            flight_->record(net_.simulator().now(),
-                            obs::FlightCategory::kFault, "fault.broker.crash",
-                            broker.value());
-          }
+          obs::record(rec_, obs::ev::kFaultBrokerCrash,
+                      net_.simulator().now(),
+                      {"vehicle", static_cast<double>(broker.value())});
           return;
         }
       }
@@ -109,33 +95,18 @@ void FaultInjector::fire(const FaultEvent& e) {
       if (rsu == nullptr || !rsu->online) return;
       net_.rsus().set_online(target, false);
       ++stats_.rsu_outages;
-      if (trace_ != nullptr) {
-        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                       "fault.rsu.outage",
-                       {{"rsu", static_cast<double>(target.value())},
-                        {"repair_after", e.repair_after}});
-      }
-      if (flight_ != nullptr) {
-        flight_->record(net_.simulator().now(), obs::FlightCategory::kFault,
-                        "fault.rsu.outage", target.value(), 0,
-                        e.repair_after);
-      }
+      obs::record(rec_, obs::ev::kFaultRsuOutage, net_.simulator().now(),
+                  {"rsu", static_cast<double>(target.value())},
+                  {"repair_after", e.repair_after});
       if (e.repair_after > 0.0) {
         net_.simulator().schedule_after(
             e.repair_after,
             [this, target] {
               net_.rsus().set_online(target, true);
               ++stats_.rsu_repairs;
-              if (trace_ != nullptr) {
-                trace_->record(net_.simulator().now(),
-                               obs::TraceCategory::kFault, "fault.rsu.repair",
-                               {{"rsu", static_cast<double>(target.value())}});
-              }
-              if (flight_ != nullptr) {
-                flight_->record(net_.simulator().now(),
-                                obs::FlightCategory::kFault,
-                                "fault.rsu.repair", target.value());
-              }
+              obs::record(rec_, obs::ev::kFaultRsuRepair,
+                          net_.simulator().now(),
+                          {"rsu", static_cast<double>(target.value())});
             },
             "fault.event");
       }
@@ -149,41 +120,26 @@ void FaultInjector::fire(const FaultEvent& e) {
       const SimTime start = net_.simulator().now();
       blackout_windows_.push_back(
           {start, start + e.duration, e.center, e.radius});
-      if (flight_ != nullptr) {
-        flight_->record(start, obs::FlightCategory::kFault,
-                        "fault.blackout.start", 0, 0, e.duration);
-      }
-      if (trace_ != nullptr) {
-        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                       "fault.blackout.start",
-                       {{"x", e.center.x},
-                        {"y", e.center.y},
-                        {"radius", e.radius},
-                        {"duration", e.duration}});
-        // Explicit storm-window annotation: [start, end] in absolute sim
-        // time, so trace_analysis can split latency into in-storm vs
-        // clear-sky without re-pairing start/end events across a possibly
-        // wrapped ring.
-        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                       "fault.window",
-                       {{"start", net_.simulator().now()},
-                        {"end", net_.simulator().now() + e.duration},
-                        {"radius", e.radius}});
-      }
+      obs::record(rec_, obs::ev::kFaultBlackoutStart, start,
+                  {"x", e.center.x},
+                  {"y", e.center.y},
+                  {"radius", e.radius},
+                  {"duration", e.duration});
+      // Explicit storm-window annotation: [start, end] in absolute sim
+      // time, so trace_analysis can split latency into in-storm vs
+      // clear-sky without re-pairing start/end events across a possibly
+      // wrapped ring.
+      obs::record(rec_, obs::ev::kFaultWindow, start,
+                  {"start", start},
+                  {"end", start + e.duration},
+                  {"radius", e.radius});
       net_.simulator().schedule_after(
           e.duration,
           [this, token] {
             net_.channel().remove_blackout(token);
-            if (trace_ != nullptr) {
-              trace_->record(net_.simulator().now(),
-                             obs::TraceCategory::kFault, "fault.blackout.end",
-                             {{"token", static_cast<double>(token)}});
-            }
-            if (flight_ != nullptr) {
-              flight_->record(net_.simulator().now(),
-                              obs::FlightCategory::kFault,
-                              "fault.blackout.end", token);
-            }
+            obs::record(rec_, obs::ev::kFaultBlackoutEnd,
+                        net_.simulator().now(),
+                        {"token", static_cast<double>(token)});
           },
           "fault.event");
       return;
@@ -196,36 +152,28 @@ void FaultInjector::fire(const FaultEvent& e) {
       // every other injection); the driver behind the handler logs the
       // admission/eviction "decision" half on the auth/attack categories.
       if (!attack_handler_) return;
-      const char* name = "";
+      const obs::EventKind* kind = &obs::ev::kFaultSybilJoin;
       switch (e.kind) {
         case FaultKind::kSybilJoin:
           ++stats_.sybil_joins;
-          name = "fault.sybil.join";
           break;
         case FaultKind::kRevokeIdentity:
           ++stats_.revocations;
-          name = "fault.revoke";
+          kind = &obs::ev::kFaultRevoke;
           break;
         case FaultKind::kCrlDeliver:
           ++stats_.crl_deliveries;
-          name = "fault.crl.deliver";
+          kind = &obs::ev::kFaultCrlDeliver;
           break;
         case FaultKind::kReplayInject:
           ++stats_.replays;
-          name = "fault.replay.inject";
+          kind = &obs::ev::kFaultReplayInject;
           break;
         default: break;
       }
-      if (flight_ != nullptr) {
-        flight_->record(net_.simulator().now(), obs::FlightCategory::kFault,
-                        name, e.attack_tag, e.group);
-      }
-      if (trace_ != nullptr) {
-        trace_->record(net_.simulator().now(), obs::TraceCategory::kFault,
-                       name,
-                       {{"attack_tag", static_cast<double>(e.attack_tag)},
-                        {"group", static_cast<double>(e.group)}});
-      }
+      obs::record(rec_, *kind, net_.simulator().now(),
+                  {"attack_tag", static_cast<double>(e.attack_tag)},
+                  {"group", static_cast<double>(e.group)});
       attack_handler_(e);
       return;
     }

@@ -25,9 +25,8 @@
 
 #include "fault/fault_plan.h"
 #include "net/network.h"
-#include "obs/flight_recorder.h"
+#include "obs/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "vcloud/cloud.h"
 
 namespace vcl::fault {
@@ -104,15 +103,12 @@ class FaultInjector {
     return blackout_windows_;
   }
 
-  // Always-on forensics (DESIGN.md §12): every fired fault also lands in
-  // the flight recorder — injected faults are the "cause" half of the
-  // causal timeline an incident bundle reconstructs. Null = one branch.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
-
-  // Telemetry (off by default): every fired fault becomes a fault.* trace
-  // event — the ground truth a trace analysis correlates detection latency
-  // and completion dips against.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  // Every fired fault is a fault.* event: kept in the always-on flight
+  // ring (the "cause" half of the causal timeline an incident bundle
+  // reconstructs, DESIGN.md §12) and, with tracing on, the ground truth a
+  // trace analysis correlates detection latency and completion dips
+  // against. Null = one branch per event.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
   void register_metrics(obs::MetricsRegistry& metrics) const;
 
  private:
@@ -131,8 +127,7 @@ class FaultInjector {
   AttackHandler attack_handler_;
   FaultStats stats_;
   std::vector<BlackoutWindow> blackout_windows_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
 };
 
 }  // namespace vcl::fault

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "geo/vec2.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 #include "util/ids.h"
 #include "util/time.h"
 

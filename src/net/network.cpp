@@ -160,23 +160,18 @@ void Network::deliver(const Message& msg, Address to, SimTime delay) {
 bool Network::transmit(const Message& msg, Address to_addr) {
   ++stats_.unicast_sent;
   stats_.bytes_sent += msg.size_bytes;
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.tx", msg.trace,
-                   {{"src", static_cast<double>(msg.src.key())},
-                    {"dst", static_cast<double>(to_addr.key())},
-                    {"bytes", static_cast<double>(msg.size_bytes)}});
-  }
+  obs::record(rec_, obs::ev::kNetTx, sim_.now(), msg.trace,
+              {"src", static_cast<double>(msg.src.key())},
+              {"dst", static_cast<double>(to_addr.key())},
+              {"bytes", static_cast<double>(msg.size_bytes)});
   const auto from = position_of(msg.src);
   const auto to = position_of(to_addr);
   if (!from || !to) {
     ++stats_.dropped;
     // reason: 1 = endpoint gone, 2 = out of range, 3 = channel loss
-    if (trace_ != nullptr) {
-      trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.drop",
-                     msg.trace,
-                     {{"dst", static_cast<double>(to_addr.key())},
-                      {"reason", 1.0}});
-    }
+    obs::record(rec_, obs::ev::kNetDrop, sim_.now(), msg.trace,
+                {"dst", static_cast<double>(to_addr.key())},
+                {"reason", 1.0});
     return false;
   }
   // RSUs have stronger radios: use the RSU's own range for either endpoint.
@@ -191,13 +186,10 @@ bool Network::transmit(const Message& msg, Address to_addr) {
   const double dist = geo::distance(*from, *to);
   if (dist > channel_.config().max_range * range_bonus) {
     ++stats_.dropped;
-    if (trace_ != nullptr) {
-      trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.drop",
-                     msg.trace,
-                     {{"dst", static_cast<double>(to_addr.key())},
-                      {"reason", 2.0},
-                      {"dist", dist}});
-    }
+    obs::record(rec_, obs::ev::kNetDrop, sim_.now(), msg.trace,
+                {"dst", static_cast<double>(to_addr.key())},
+                {"reason", 2.0},
+                {"dist", dist});
     return false;
   }
   // Scale position difference so the channel sees an equivalent distance
@@ -207,23 +199,18 @@ bool Network::transmit(const Message& msg, Address to_addr) {
       *from, eff_to, msg.size_bytes, local_density(*from), rng_);
   if (!r.received) {
     ++stats_.dropped;
-    if (trace_ != nullptr) {
-      trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.drop",
-                     msg.trace,
-                     {{"dst", static_cast<double>(to_addr.key())},
-                      {"reason", 3.0},
-                      {"dist", dist}});
-    }
+    obs::record(rec_, obs::ev::kNetDrop, sim_.now(), msg.trace,
+                {"dst", static_cast<double>(to_addr.key())},
+                {"reason", 3.0},
+                {"dist", dist});
     return false;
   }
   ++stats_.unicast_delivered;
   stats_.hop_delay.add(r.delay);
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.rx", msg.trace,
-                   {{"dst", static_cast<double>(to_addr.key())},
-                    {"delay", r.delay},
-                    {"bytes", static_cast<double>(msg.size_bytes)}});
-  }
+  obs::record(rec_, obs::ev::kNetRx, sim_.now(), msg.trace,
+              {"dst", static_cast<double>(to_addr.key())},
+              {"delay", r.delay},
+              {"bytes", static_cast<double>(msg.size_bytes)});
   deliver(msg, to_addr, r.delay);
   return true;
 }
@@ -237,11 +224,9 @@ bool Network::send_via(const Message& msg, Address next_hop) {
 std::size_t Network::broadcast(Message msg) {
   ++stats_.broadcast_sent;
   stats_.bytes_sent += msg.size_bytes;
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), obs::TraceCategory::kNet, "net.broadcast",
-                   {{"src", static_cast<double>(msg.src.key())},
-                    {"bytes", static_cast<double>(msg.size_bytes)}});
-  }
+  obs::record(rec_, obs::ev::kNetBroadcast, sim_.now(),
+              {"src", static_cast<double>(msg.src.key())},
+              {"bytes", static_cast<double>(msg.size_bytes)});
   const auto from = position_of(msg.src);
   if (!from) return 0;
   const std::size_t density = local_density(*from);

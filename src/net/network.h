@@ -24,7 +24,7 @@
 #include "net/message.h"
 #include "net/rsu.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
 
@@ -117,8 +117,9 @@ class Network {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   NetStats& stats() { return stats_; }
 
-  // --- telemetry (off by default: null recorder = one branch per event) -------
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  // --- telemetry (null recorder = one branch per event) ----------------------
+  // net.* events are trace-only: with tracing off each costs a mask test.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
   // Registers the fabric's gauges (net.* / chan.*) with the sampler.
   void register_metrics(obs::MetricsRegistry& metrics) const;
 
@@ -146,7 +147,7 @@ class Network {
   SimTime neighbor_ttl_ = 3.0;
   std::unordered_map<std::uint64_t, double> extra_load_;
   NetStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
   std::vector<NeighborEntry> empty_;
 };
 

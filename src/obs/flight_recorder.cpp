@@ -4,68 +4,43 @@
 
 namespace vcl::obs {
 
-const char* to_string(FlightCategory c) {
-  switch (c) {
-    case FlightCategory::kTask: return "task";
-    case FlightCategory::kDetector: return "detector";
-    case FlightCategory::kLease: return "lease";
-    case FlightCategory::kQuorum: return "quorum";
-    case FlightCategory::kDag: return "dag";
-    case FlightCategory::kFault: return "fault";
-    case FlightCategory::kAuth: return "auth";
-    case FlightCategory::kAttack: return "attack";
+FlightRecorder::FlightRecorder(std::size_t per_category)
+    : capacity_(std::max<std::size_t>(1, per_category)) {
+  for (Ring& r : rings_) r.slots.reserve(capacity_);
+}
+
+void FlightRecorder::record(SimTime t, const EventKind& kind,
+                            std::initializer_list<Field> fields) {
+  FlightEvent e{.t = t, .kind = &kind, .seq = seq_++};
+  for (const Field& f : fields) {
+    if (e.n_fields == kMaxFields) break;
+    if (f.key != nullptr) e.fields[e.n_fields++] = f;
   }
-  return "unknown";
-}
-
-FlightRecorder::FlightRecorder(std::size_t per_category) {
-  const std::size_t capacity = std::max<std::size_t>(1, per_category);
-  for (Ring& r : rings_) r.slots.resize(capacity);
-}
-
-void FlightRecorder::record(SimTime t, FlightCategory cat, const char* name,
-                            std::uint64_t a, std::uint64_t b, double x) {
-  Ring& r = rings_[static_cast<std::size_t>(cat)];
-  FlightEvent& e = r.slots[r.head];
-  e.t = t;
-  e.cat = cat;
-  e.name = name;
-  e.a = a;
-  e.b = b;
-  e.x = x;
-  e.seq = seq_++;
-  r.head = (r.head + 1) % r.slots.size();
-  if (r.count < r.slots.size()) ++r.count;
+  Ring& r = rings_[static_cast<std::size_t>(kind.cat)];
+  if (r.slots.size() < capacity_) {
+    r.slots.push_back(e);
+  } else {
+    r.slots[r.head] = e;
+    r.head = (r.head + 1) % capacity_;
+  }
   ++r.recorded;
   ++recorded_;
 }
 
 std::uint64_t FlightRecorder::overwritten() const {
   std::uint64_t lost = 0;
-  for (const Ring& r : rings_) lost += r.recorded - r.count;
+  for (const Ring& r : rings_) lost += r.recorded - r.slots.size();
   return lost;
-}
-
-void FlightRecorder::clear() {
-  for (Ring& r : rings_) {
-    r.head = 0;
-    r.count = 0;
-    r.recorded = 0;
-  }
-  recorded_ = 0;
-  seq_ = 0;
 }
 
 std::vector<FlightEvent> FlightRecorder::tail() const {
   std::vector<FlightEvent> merged;
   std::size_t total = 0;
-  for (const Ring& r : rings_) total += r.count;
+  for (const Ring& r : rings_) total += r.slots.size();
   merged.reserve(total);
   for (const Ring& r : rings_) {
-    const std::size_t capacity = r.slots.size();
-    const std::size_t start = (r.head + capacity - r.count) % capacity;
-    for (std::size_t i = 0; i < r.count; ++i) {
-      merged.push_back(r.slots[(start + i) % capacity]);
+    for (std::size_t i = 0; i < r.slots.size(); ++i) {
+      merged.push_back(r.slots[(r.head + i) % r.slots.size()]);
     }
   }
   // The global sequence number is unique, so the merge is a strict total

@@ -1,8 +1,6 @@
 #include "obs/incident.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -13,6 +11,8 @@ namespace vcl::obs {
 
 namespace {
 
+constexpr const char* kSchema = "vcl-incident-v2";
+
 // Sim times and payloads must survive write → parse bit-exactly (the
 // bundle-determinism tests compare serialized bytes), so they bypass
 // json_number's lossy %.12g — same contract as fault-plan repro files.
@@ -20,113 +20,6 @@ std::string exact_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-// ---- flat single-line scanner ----------------------------------------------
-// Keys map to either a string or a raw (unparsed) number token; keeping
-// the token lets integer ids re-parse through strtoull without a double
-// round-trip.
-
-struct FlatValue {
-  bool is_string = false;
-  std::string text;
-};
-
-using FlatObject = std::vector<std::pair<std::string, FlatValue>>;
-
-bool scan_flat_object(const std::string& line, FlatObject& out,
-                      std::string* error) {
-  const auto fail = [error](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-  };
-  const auto eat = [&](char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  const auto read_string = [&](std::string& s) {
-    if (!eat('"')) return false;
-    s.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) {
-        const char esc = line[pos++];
-        switch (esc) {
-          case 'n': s += '\n'; break;
-          case 't': s += '\t'; break;
-          default: s += esc; break;
-        }
-      } else {
-        s += c;
-      }
-    }
-    return false;
-  };
-  if (!eat('{')) return fail("line does not start with '{'");
-  bool first = true;
-  while (true) {
-    if (eat('}')) return true;
-    if (!first && !eat(',')) return fail("expected ',' between members");
-    first = false;
-    std::string key;
-    if (!read_string(key) || !eat(':')) return fail("malformed key");
-    skip_ws();
-    FlatValue value;
-    if (pos < line.size() && line[pos] == '"') {
-      value.is_string = true;
-      if (!read_string(value.text)) return fail("unterminated string value");
-    } else {
-      const std::size_t start = pos;
-      while (pos < line.size() && line[pos] != ',' && line[pos] != '}' &&
-             !std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-      }
-      if (pos == start) return fail("malformed value");
-      value.text = line.substr(start, pos - start);
-    }
-    out.emplace_back(std::move(key), std::move(value));
-  }
-}
-
-const FlatValue* find(const FlatObject& obj, const char* key) {
-  for (const auto& [k, v] : obj) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::string get_str(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && v->is_string ? v->text : std::string();
-}
-
-double get_num(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && !v->is_string ? std::strtod(v->text.c_str(), nullptr)
-                                       : 0.0;
-}
-
-std::uint64_t get_u64(const FlatObject& obj, const char* key) {
-  const FlatValue* v = find(obj, key);
-  return v != nullptr && !v->is_string
-             ? std::strtoull(v->text.c_str(), nullptr, 10)
-             : 0;
-}
-
-bool get_flag(const FlatObject& obj, const char* key) {
-  return get_u64(obj, key) != 0;
 }
 
 }  // namespace
@@ -138,11 +31,11 @@ void append_flight_tail(IncidentBundle& bundle,
     IncidentFlightEvent out;
     out.t = e.t;
     out.seq = e.seq;
-    out.cat = to_string(e.cat);
-    out.name = e.name;
-    out.a = e.a;
-    out.b = e.b;
-    out.x = e.x;
+    out.cat = to_string(e.kind->cat);
+    out.name = e.kind->name;
+    for (std::uint8_t i = 0; i < e.n_fields; ++i) {
+      out.fields.emplace_back(e.fields[i].key, e.fields[i].value);
+    }
     bundle.flight.push_back(std::move(out));
   }
 }
@@ -151,7 +44,7 @@ void write_incident_bundle(const IncidentBundle& b, std::ostream& os) {
   {
     JsonWriter w(os);
     w.begin_object()
-        .key("meta").value("vcl-incident-v1")
+        .key("meta").value(kSchema)
         .key("seed").value(b.seed)
         .key("captured_at").value_raw(exact_number(b.captured_at))
         .key("trigger").value(b.trigger)
@@ -180,11 +73,11 @@ void write_incident_bundle(const IncidentBundle& b, std::ostream& os) {
         .key("t").value_raw(exact_number(e.t))
         .key("seq").value(e.seq)
         .key("cat").value(e.cat)
-        .key("name").value(e.name)
-        .key("a").value(e.a)
-        .key("b").value(e.b)
-        .key("x").value_raw(exact_number(e.x))
-        .end_object();
+        .key("name").value(e.name);
+    for (const auto& [key, value] : e.fields) {
+      w.key(key).value_raw(exact_number(value));
+    }
+    w.end_object();
     os << '\n';
   }
   for (const IncidentWindow& win : b.windows) {
@@ -288,120 +181,139 @@ void write_incident_bundle(const IncidentBundle& b, std::ostream& os) {
 bool parse_incident_bundle(std::istream& is, IncidentBundle& b,
                            std::string* error) {
   b = IncidentBundle{};
-  const auto fail = [error](const std::string& what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
   std::string line;
   std::size_t lineno = 0;
+  const auto fail = [&](const std::string& what) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + what;
+    }
+    return false;
+  };
   bool have_meta = false;
+  FlatRecord r;
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    FlatObject obj;
     std::string why;
-    if (!scan_flat_object(line, obj, &why)) {
-      return fail("line " + std::to_string(lineno) + ": " + why);
-    }
+    if (!r.scan(line, &why)) return fail(why);
     if (!have_meta) {
-      if (get_str(obj, "meta") != "vcl-incident-v1") {
-        return fail("line 1: not a vcl-incident-v1 meta record");
+      const std::string schema = r.str("meta");
+      if (!r.error().empty()) {
+        return fail("not an incident bundle meta record: " + r.error());
       }
-      b.seed = get_u64(obj, "seed");
-      b.captured_at = get_num(obj, "captured_at");
-      b.trigger = get_str(obj, "trigger");
-      b.flight_recorded = get_u64(obj, "flight_recorded");
-      b.flight_overwritten = get_u64(obj, "flight_overwritten");
-      b.broker = get_u64(obj, "broker");
-      b.pending = get_u64(obj, "pending");
+      if (schema != kSchema) {
+        return fail("unsupported bundle version '" + schema +
+                    "' (this reader takes " + kSchema + ")");
+      }
+      b.seed = r.u64("seed");
+      b.captured_at = r.num("captured_at");
+      b.trigger = r.str("trigger");
+      b.flight_recorded = r.u64("flight_recorded");
+      b.flight_overwritten = r.u64("flight_overwritten");
+      b.broker = r.u64("broker");
+      b.pending = r.u64("pending");
+      if (!r.error().empty()) return fail(r.error());
       have_meta = true;
       continue;
     }
-    const std::string rec = get_str(obj, "rec");
+    const std::string rec = r.str("rec");
+    if (!r.error().empty()) return fail(r.error());
     if (rec == "violation") {
       IncidentViolation v;
-      v.t = get_num(obj, "t");
-      v.invariant = get_str(obj, "invariant");
-      v.detail = get_str(obj, "detail");
-      v.task = get_u64(obj, "task");
+      v.t = r.num("t");
+      v.invariant = r.str("invariant");
+      v.detail = r.str("detail");
+      v.task = r.u64("task");
       b.violations.push_back(std::move(v));
     } else if (rec == "flight") {
       IncidentFlightEvent e;
-      e.t = get_num(obj, "t");
-      e.seq = get_u64(obj, "seq");
-      e.cat = get_str(obj, "cat");
-      e.name = get_str(obj, "name");
-      e.a = get_u64(obj, "a");
-      e.b = get_u64(obj, "b");
-      e.x = get_num(obj, "x");
+      e.t = r.num("t");
+      e.seq = r.u64("seq");
+      e.cat = r.str("cat");
+      e.name = r.str("name");
+      // Every other member is one of the event's named numeric fields.
+      for (const auto& [key, value] : r.members()) {
+        if (key == "rec" || key == "t" || key == "seq" || key == "cat" ||
+            key == "name") {
+          continue;
+        }
+        double num = 0.0;
+        if (value.is_string || !FlatRecord::parse_number(value.text, num)) {
+          return fail("field '" + key + "' is not a number");
+        }
+        e.fields.emplace_back(key, num);
+      }
       b.flight.push_back(std::move(e));
     } else if (rec == "window") {
       IncidentWindow w;
-      w.start = get_num(obj, "start");
-      w.end = get_num(obj, "end");
-      w.x = get_num(obj, "x");
-      w.y = get_num(obj, "y");
-      w.radius = get_num(obj, "radius");
-      w.active = get_flag(obj, "active");
+      w.start = r.num("start");
+      w.end = r.num("end");
+      w.x = r.num("x");
+      w.y = r.num("y");
+      w.radius = r.num("radius");
+      w.active = r.flag("active");
       b.windows.push_back(w);
     } else if (rec == "span") {
       IncidentOpenSpan s;
-      s.begin = get_num(obj, "begin");
-      s.cat = get_str(obj, "cat");
-      s.name = get_str(obj, "name");
-      s.trace_id = get_u64(obj, "trace");
-      s.span_id = get_u64(obj, "span");
+      s.begin = r.num("begin");
+      s.cat = r.str("cat");
+      s.name = r.str("name");
+      s.trace_id = r.u64("trace");
+      s.span_id = r.u64("span");
       b.open_spans.push_back(std::move(s));
     } else if (rec == "worker") {
       IncidentWorker w;
-      w.id = get_u64(obj, "id");
-      w.crashed = get_flag(obj, "crashed");
-      w.tracked = get_flag(obj, "tracked");
+      w.id = r.u64("id");
+      w.crashed = r.flag("crashed");
+      w.tracked = r.flag("tracked");
       b.workers.push_back(w);
     } else if (rec == "task") {
       IncidentTask t;
-      t.id = get_u64(obj, "id");
-      t.state = get_str(obj, "state");
-      t.progress = get_num(obj, "progress");
-      t.work = get_num(obj, "work");
-      t.checkpoint = get_num(obj, "checkpoint");
-      t.worker = get_u64(obj, "worker");
-      t.trace_id = get_u64(obj, "trace");
+      t.id = r.u64("id");
+      t.state = r.str("state");
+      t.progress = r.num("progress");
+      t.work = r.num("work");
+      t.checkpoint = r.num("checkpoint");
+      t.worker = r.u64("worker");
+      t.trace_id = r.u64("trace");
       b.tasks.push_back(std::move(t));
     } else if (rec == "object") {
       IncidentObject o;
-      o.id = get_u64(obj, "id");
-      o.acked_version = get_u64(obj, "acked_version");
+      o.id = r.u64("id");
+      o.acked_version = r.u64("acked_version");
       b.objects.push_back(o);
     } else if (rec == "replica") {
-      IncidentReplica r;
-      r.object = get_u64(obj, "object");
-      r.holder = get_u64(obj, "holder");
-      r.version = get_u64(obj, "version");
-      r.alive = get_flag(obj, "alive");
-      r.lease_held = get_flag(obj, "lease");
-      b.replicas.push_back(r);
+      IncidentReplica rep;
+      rep.object = r.u64("object");
+      rep.holder = r.u64("holder");
+      rep.version = r.u64("version");
+      rep.alive = r.flag("alive");
+      rep.lease_held = r.flag("lease");
+      b.replicas.push_back(rep);
     } else if (rec == "graph") {
       IncidentDagGraph g;
-      g.id = get_u64(obj, "id");
-      g.terminal = get_flag(obj, "terminal");
-      g.completed = get_flag(obj, "completed");
-      g.intermediates_held = get_u64(obj, "intermediates");
+      g.id = r.u64("id");
+      g.terminal = r.flag("terminal");
+      g.completed = r.flag("completed");
+      g.intermediates_held = r.u64("intermediates");
       b.graphs.push_back(g);
     } else if (rec == "dagnode") {
       IncidentDagNode n;
-      n.graph = get_u64(obj, "graph");
-      n.node = get_u64(obj, "node");
-      n.submitted = get_flag(obj, "submitted");
-      n.succeeded = get_flag(obj, "succeeded");
-      n.live_attempts = get_u64(obj, "live");
+      n.graph = r.u64("graph");
+      n.node = r.u64("node");
+      n.submitted = r.flag("submitted");
+      n.succeeded = r.flag("succeeded");
+      n.live_attempts = r.u64("live");
       b.dag_nodes.push_back(n);
     } else {
-      return fail("line " + std::to_string(lineno) + ": unknown record \"" +
-                  rec + "\"");
+      return fail("unknown record \"" + rec + "\"");
     }
+    if (!r.error().empty()) return fail(rec + " record: " + r.error());
   }
-  if (!have_meta) return fail("empty input (no meta record)");
+  if (!have_meta) {
+    if (error != nullptr) *error = "empty input (no meta record)";
+    return false;
+  }
   return true;
 }
 

@@ -1,4 +1,4 @@
-// Incident bundles (DESIGN.md §12): the `vcl-incident-v1` forensic
+// Incident bundles (DESIGN.md §12): the `vcl-incident-v2` forensic
 // snapshot captured at the instant an invariant violation fires.
 //
 // A repro file replays a failure; a bundle *explains* it without a replay:
@@ -15,11 +15,15 @@
 // serialized with %.17g and re-emitted from the parsed values, so
 // write → parse → re-write is bit-identical (the determinism contract the
 // `--jobs` tests pin down).
+//
+// Flight rows carry each event's named fields — the same {key, value}
+// pairs the trace sink records for that event.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -41,9 +45,7 @@ struct IncidentFlightEvent {
   std::uint64_t seq = 0;
   std::string cat;
   std::string name;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  double x = 0.0;
+  std::vector<std::pair<std::string, double>> fields;
 };
 
 // An injected radio-blackout window [start, end] (absolute sim time).
@@ -137,11 +139,13 @@ struct IncidentBundle {
 void append_flight_tail(IncidentBundle& bundle,
                         const std::vector<FlightEvent>& tail);
 
-// JSONL: a vcl-incident-v1 meta line, then one flat record per line in a
+// JSONL: a vcl-incident-v2 meta line, then one flat record per line in a
 // fixed section order. Deterministic byte-for-byte for equal bundles.
 void write_incident_bundle(const IncidentBundle& bundle, std::ostream& os);
 // Strict inverse of the writer: a re-emitted parse is bit-identical.
-// Returns false (with `error` set) on malformed input.
+// Returns false (with a line-numbered `error`) on malformed input: bad
+// syntax, a missing or wrongly typed key, an unknown record, or a bundle
+// of another version.
 bool parse_incident_bundle(std::istream& is, IncidentBundle& bundle,
                            std::string* error = nullptr);
 

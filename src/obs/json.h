@@ -1,14 +1,22 @@
-// Minimal streaming JSON writer shared by the telemetry exporters.
+// Minimal streaming JSON writer shared by the telemetry exporters, and the
+// one reader for the flat JSONL records they write.
 //
 // Emits syntactically valid JSON with no external dependency: the trace
 // recorder (JSONL + Chrome trace_event), the metrics sampler and the bench
 // `--json` reporter all format through this one class so their output stays
 // mutually consistent (escaping, number formatting, nesting).
+//
+// The repo's JSONL formats (trace, incident bundle, fault plan) are one flat
+// object per line with string or scalar values and no nesting; FlatRecord
+// scans such a line and gives strict, typed access to its members.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace vcl::obs {
@@ -58,6 +66,50 @@ class JsonWriter {
   // One frame per open container: whether any element was emitted yet.
   std::vector<bool> wrote_element_;
   bool key_pending_ = false;
+};
+
+// One member value of a flat record: a decoded string, or the raw scalar
+// token (kept unparsed so integer ids re-parse exactly, without a double
+// round-trip).
+struct FlatValue {
+  bool is_string = false;
+  std::string text;
+};
+
+class FlatRecord {
+ public:
+  // Scans one line; false (with `error` set) on malformed syntax.
+  bool scan(const std::string& line, std::string* error);
+
+  [[nodiscard]] const std::vector<std::pair<std::string, FlatValue>>&
+  members() const {
+    return members_;
+  }
+  [[nodiscard]] const FlatValue* find(std::string_view key) const;
+
+  // Required members: a missing key or a value of the wrong type records
+  // the first problem in error() and yields a zero value, so a parser reads
+  // every key it needs and checks error() once.
+  std::string str(const char* key);
+  double num(const char* key);
+  std::uint64_t u64(const char* key);  // unsigned decimal integer
+  bool flag(const char* key);          // 0 or 1
+  // Optional members: absent yields `fallback`; a wrong type is an error.
+  double num_or(const char* key, double fallback);
+  std::uint64_t u64_or(const char* key, std::uint64_t fallback);
+
+  // Empty while every access succeeded.
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+  // Whole-token number conversion (no trailing garbage).
+  static bool parse_number(const std::string& token, double& out);
+
+ private:
+  const FlatValue* need(const char* key);
+  void fail(const char* key, const char* what);
+
+  std::vector<std::pair<std::string, FlatValue>> members_;
+  std::string error_;
 };
 
 }  // namespace vcl::obs

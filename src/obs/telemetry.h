@@ -1,11 +1,14 @@
 // Telemetry: the per-run observability bundle (DESIGN.md §6).
 //
 // One TelemetryConfig block rides SystemConfig; everything defaults OFF so
-// seed determinism and performance are untouched — instrumented code sees a
-// null TraceRecorder pointer and pays one branch per would-be event. When
-// any piece is enabled, VehicularCloudSystem::start() builds a Telemetry,
-// threads the recorder through net/vcloud/fault, registers each subsystem's
-// metrics and starts the sampler and the kernel profiler.
+// seed determinism and performance are untouched. Every subsystem records
+// through the system's one obs::Recorder (recorder.h), whose always-on
+// flight ring needs no telemetry; with tracing off the recorder has no
+// trace sink and a trace-only event costs one inline mask test. When any
+// piece is enabled, VehicularCloudSystem::start() builds a Telemetry,
+// attaches its TraceRecorder as the recorder's trace sink (reaching net,
+// cloud, admission, fault injection, storage and DAG alike), registers each
+// subsystem's metrics and starts the sampler and the kernel profiler.
 #pragma once
 
 #include <string>
@@ -18,7 +21,7 @@ namespace vcl::obs {
 struct TelemetryConfig {
   // Structured sim-time event tracing (TraceRecorder).
   bool tracing = false;
-  std::uint32_t trace_categories = kAllTraceCategories;
+  std::uint32_t trace_categories = kAllCategories;
   std::size_t trace_capacity = 1 << 16;
 
   // Periodic metric sampling (MetricsRegistry time series).

@@ -7,24 +7,11 @@
 
 namespace vcl::obs {
 
-const char* to_string(TraceCategory c) {
-  switch (c) {
-    case TraceCategory::kSim: return "sim";
-    case TraceCategory::kNet: return "net";
-    case TraceCategory::kCloud: return "cloud";
-    case TraceCategory::kTask: return "task";
-    case TraceCategory::kFault: return "fault";
-    case TraceCategory::kStorage: return "storage";
-    case TraceCategory::kDag: return "dag";
-  }
-  return "unknown";
-}
-
 TraceRecorder::TraceRecorder(std::size_t capacity, std::uint32_t category_mask)
     : mask_(category_mask), ring_(std::max<std::size_t>(capacity, 1)) {}
 
 TraceRecorder::Event& TraceRecorder::push(
-    SimTime t, TraceCategory cat, TracePhase phase, const char* name,
+    SimTime t, Category cat, TracePhase phase, const char* name,
     std::initializer_list<Field> fields) {
   Event& ev = ring_[head_];
   ev.t = t;
@@ -36,6 +23,7 @@ TraceRecorder::Event& TraceRecorder::push(
   ev.parent_id = 0;
   ev.n_fields = 0;
   for (const Field& f : fields) {
+    if (f.key == nullptr) continue;  // unused slot
     if (ev.n_fields == kMaxFields) {
       ++dropped_fields_;
       continue;
@@ -48,13 +36,13 @@ TraceRecorder::Event& TraceRecorder::push(
   return ev;
 }
 
-void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
+void TraceRecorder::record(SimTime t, Category cat, const char* name,
                            std::initializer_list<Field> fields) {
   if (!enabled(cat)) return;
   push(t, cat, TracePhase::kInstant, name, fields);
 }
 
-void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
+void TraceRecorder::record(SimTime t, Category cat, const char* name,
                            TraceContext ctx,
                            std::initializer_list<Field> fields) {
   if (!enabled(cat)) return;
@@ -63,7 +51,7 @@ void TraceRecorder::record(SimTime t, TraceCategory cat, const char* name,
   ev.parent_id = ctx.span_id;
 }
 
-std::uint64_t TraceRecorder::begin_span(SimTime t, TraceCategory cat,
+std::uint64_t TraceRecorder::begin_span(SimTime t, Category cat,
                                         const char* name, TraceContext parent,
                                         std::initializer_list<Field> fields) {
   if (!enabled(cat)) return 0;
@@ -74,7 +62,7 @@ std::uint64_t TraceRecorder::begin_span(SimTime t, TraceCategory cat,
   return ev.span_id;
 }
 
-void TraceRecorder::end_span(SimTime t, TraceCategory cat, const char* name,
+void TraceRecorder::end_span(SimTime t, Category cat, const char* name,
                              TraceContext ctx,
                              std::initializer_list<Field> fields) {
   if (!enabled(cat) || ctx.span_id == 0) return;
@@ -267,8 +255,8 @@ void TraceRecorder::write_chrome_trace(std::ostream& os) const {
     w.end_object();
     w.end_object();
   };
-  for (std::size_t c = 0; c < kTraceCategoryCount; ++c) {
-    thread_name(c, to_string(static_cast<TraceCategory>(c)));
+  for (std::size_t c = 0; c < kCategoryCount; ++c) {
+    thread_name(c, to_string(static_cast<Category>(c)));
   }
   for (const std::uint64_t id : trace_rows) {
     thread_name(kTraceTidBase + id, "trace " + std::to_string(id));

@@ -1,5 +1,6 @@
 // TraceRecorder: sim-time structured event + causal span tracing
-// (DESIGN.md §6, §8).
+// (DESIGN.md §6, §8) — the optional second sink behind obs::Recorder,
+// attached only when `telemetry.tracing` is on.
 //
 // Subsystems emit categorized instant events ("net.drop", "task.complete",
 // "fault.blackout", ...) with up to four numeric fields, and *duration
@@ -9,9 +10,8 @@
 // across vehicle crashes and radio blackouts. Events land in a
 // fixed-capacity ring buffer so a long run overwrites its oldest history
 // instead of growing without bound; `overwritten()` reports how much was
-// lost. A per-category enable mask gates recording, and instrumented code
-// holds a nullable `TraceRecorder*`, so a run with tracing off pays exactly
-// one pointer test per would-be event or span.
+// lost. A per-category enable mask gates recording; with tracing off no
+// TraceRecorder exists and obs::Recorder never reaches this sink.
 //
 // Exports:
 //  * JSONL — a leading metadata record (`recorded`/`overwritten`/
@@ -31,62 +31,19 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/event.h"
 #include "util/time.h"
 
 namespace vcl::obs {
 
-enum class TraceCategory : std::uint8_t {
-  kSim = 0,    // kernel-level (run markers)
-  kNet = 1,    // net.tx / net.rx / net.drop / net.broadcast
-  kCloud = 2,  // cloud.form / cloud.member.* / cloud.broker.* / cloud.ckpt
-  kTask = 3,   // task.submit / task.dispatch / task.complete / leg.* spans
-  kFault = 4,  // fault.crash / fault.rsu.* / fault.blackout.*
-  kStorage = 5,  // storage.put / storage.get / storage.repair + leg spans
-  kDag = 6,      // dag.run spans + dag.node / dag.edge instants
-};
-inline constexpr std::size_t kTraceCategoryCount = 7;
-
-[[nodiscard]] const char* to_string(TraceCategory c);
-
-[[nodiscard]] constexpr std::uint32_t category_bit(TraceCategory c) {
-  return 1u << static_cast<std::uint8_t>(c);
-}
-inline constexpr std::uint32_t kAllTraceCategories =
-    (1u << kTraceCategoryCount) - 1;
-
 // Instant events vs the two halves of a duration span.
 enum class TracePhase : std::uint8_t { kInstant = 0, kBegin = 1, kEnd = 2 };
 
-// Causal context stamped on a traced entity (a task at submission) and
-// propagated through everything done on its behalf: broker dispatch, the
-// net::Message that carries it, worker execution, retries and recovery.
-// `trace_id` names the causal tree; `span_id` the innermost live span (the
-// parent for children begun under this context). Zero ids mean "untraced".
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-
-  [[nodiscard]] bool valid() const { return trace_id != 0; }
-};
-
-// Outcome codes carried on a task root span's end event ("outcome" field);
-// fields are numeric-only, so the terminal state is encoded, not spelled.
-inline constexpr double kOutcomeCompleted = 0.0;
-inline constexpr double kOutcomeExpired = 1.0;
-inline constexpr double kOutcomeFailed = 2.0;
-
 class TraceRecorder {
  public:
-  static constexpr std::size_t kMaxFields = 4;
-
-  struct Field {
-    const char* key;
-    double value;
-  };
-
   struct Event {
     SimTime t = 0.0;
-    TraceCategory cat = TraceCategory::kSim;
+    Category cat = Category::kSim;
     TracePhase phase = TracePhase::kInstant;
     std::uint8_t n_fields = 0;
     const char* name = "";
@@ -98,12 +55,12 @@ class TraceRecorder {
   };
 
   explicit TraceRecorder(std::size_t capacity = 1 << 16,
-                         std::uint32_t category_mask = kAllTraceCategories);
+                         std::uint32_t category_mask = kAllCategories);
 
-  [[nodiscard]] bool enabled(TraceCategory c) const {
+  [[nodiscard]] bool enabled(Category c) const {
     return (mask_ & category_bit(c)) != 0;
   }
-  void set_mask(std::uint32_t mask) { mask_ = mask; }
+  [[nodiscard]] std::uint32_t mask() const { return mask_; }
 
   // Allocates a fresh trace id (the root of a new causal tree).
   [[nodiscard]] std::uint64_t new_trace_id() { return next_trace_id_++; }
@@ -112,22 +69,22 @@ class TraceRecorder {
   // dropped_fields() (the event itself keeps the first kMaxFields).
   // Field keys and the event name must outlive the recorder (string
   // literals in practice — this keeps the hot path allocation-free).
-  void record(SimTime t, TraceCategory cat, const char* name,
+  void record(SimTime t, Category cat, const char* name,
               std::initializer_list<Field> fields = {});
   // Instant event attached to a causal tree (e.g. net.tx for a dispatch).
-  void record(SimTime t, TraceCategory cat, const char* name,
+  void record(SimTime t, Category cat, const char* name,
               TraceContext ctx, std::initializer_list<Field> fields = {});
 
   // Opens a duration span under `parent` (parent.span_id may be 0 for a
   // root span) and returns its span id — keep it to close the span later.
   // Returns 0 when the category is masked off (end_span of 0 is a no-op).
-  std::uint64_t begin_span(SimTime t, TraceCategory cat, const char* name,
+  std::uint64_t begin_span(SimTime t, Category cat, const char* name,
                            TraceContext parent,
                            std::initializer_list<Field> fields = {});
   // Closes the span `ctx.span_id` of tree `ctx.trace_id`; `name` should
   // match the begin (exports pair the two by span id, the name is for
   // humans reading the JSONL).
-  void end_span(SimTime t, TraceCategory cat, const char* name,
+  void end_span(SimTime t, Category cat, const char* name,
                 TraceContext ctx, std::initializer_list<Field> fields = {});
 
   [[nodiscard]] std::size_t size() const { return count_; }
@@ -158,7 +115,7 @@ class TraceRecorder {
   void write_chrome_trace(std::ostream& os) const;
 
  private:
-  Event& push(SimTime t, TraceCategory cat, TracePhase phase,
+  Event& push(SimTime t, Category cat, TracePhase phase,
               const char* name, std::initializer_list<Field> fields);
 
   std::uint32_t mask_;

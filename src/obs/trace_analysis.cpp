@@ -1,9 +1,7 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/json.h"
 #include "util/table.h"
@@ -12,141 +10,57 @@ namespace vcl::obs {
 
 namespace {
 
-// ---- flat JSONL line scanner ------------------------------------------------
-
-struct Scanner {
-  const std::string& line;
-  std::size_t pos = 0;
-
-  explicit Scanner(const std::string& l) : line(l) {}
-
-  void skip_ws() {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < line.size() && line[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos < line.size() ? line[pos] : '\0';
-  }
-
-  bool read_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < line.size()) {
-        const char esc = line[pos++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            // Decoded only far enough to stay in sync; recorder names are
-            // ASCII string literals so this never fires in practice.
-            pos = std::min(pos + 4, line.size());
-            out += '?';
-            break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool read_number(double& out) {
-    skip_ws();
-    const char* start = line.c_str() + pos;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    pos += static_cast<std::size_t>(end - start);
-    return true;
-  }
-};
-
+// One recorder-shaped JSONL line: the metadata record, or an event with
+// `t`/`cat`/`name`, an optional phase and causal ids, and numeric fields.
+// A missing or wrongly typed key is an error (literal null/true/false
+// field values — non-finite numbers on export — are skipped).
 bool parse_line(const std::string& line, ParsedEvent& ev, bool& is_meta,
                 TraceMeta& meta, std::string* error) {
-  Scanner s(line);
-  if (!s.eat('{')) {
-    if (error != nullptr) *error = "line does not start with '{'";
-    return false;
+  FlatRecord r;
+  if (!r.scan(line, error)) return false;
+  const auto check = [&] {
+    if (!r.error().empty() && error != nullptr) *error = r.error();
+    return r.error().empty();
+  };
+  is_meta = r.find("meta") != nullptr;
+  if (is_meta) {
+    r.str("meta");
+    meta.capacity = r.u64("capacity");
+    meta.recorded = r.u64("recorded");
+    meta.retained = r.u64("retained");
+    meta.overwritten = r.u64("overwritten");
+    meta.dropped_fields = r.u64("dropped_fields");
+    return check();
   }
-  is_meta = false;
-  bool first = true;
-  while (true) {
-    if (s.eat('}')) break;
-    if (!first && !s.eat(',')) {
-      if (error != nullptr) *error = "expected ',' between members";
+  ev.t = r.num("t");
+  ev.cat = r.str("cat");
+  ev.name = r.str("name");
+  if (r.find("ph") != nullptr) {
+    const std::string ph = r.str("ph");
+    if (ph != "B" && ph != "E" && ph != "i") {
+      if (error != nullptr) *error = "key 'ph' is not one of B, E, i";
       return false;
     }
-    first = false;
-    std::string key;
-    if (!s.read_string(key) || !s.eat(':')) {
-      if (error != nullptr) *error = "malformed key";
-      return false;
-    }
-    if (s.peek() == '"') {
-      std::string value;
-      if (!s.read_string(value)) {
-        if (error != nullptr) *error = "unterminated string value";
-        return false;
-      }
-      if (key == "cat") {
-        ev.cat = value;
-      } else if (key == "name") {
-        ev.name = value;
-      } else if (key == "ph") {
-        ev.ph = value.empty() ? 'i' : value[0];
-      } else if (key == "meta") {
-        is_meta = true;
-      }
+    ev.ph = ph[0];
+  }
+  ev.span_id = ev.ph == 'i' ? r.u64_or("span", 0) : r.u64("span");
+  ev.trace_id = r.u64_or("trace", 0);
+  ev.parent_id = r.u64_or("parent", 0);
+  for (const auto& [key, value] : r.members()) {
+    if (value.is_string || key == "t" || key == "trace" || key == "span" ||
+        key == "parent") {
       continue;
     }
     double num = 0.0;
-    if (std::isalpha(static_cast<unsigned char>(s.peek()))) {
-      // Tolerate null/true/false values: consume the word, keep nothing.
-      while (s.pos < line.size() &&
-             std::isalpha(static_cast<unsigned char>(line[s.pos]))) {
-        ++s.pos;
-      }
-      continue;
-    }
-    if (!s.read_number(num)) {
-      if (error != nullptr) *error = "malformed value for key '" + key + "'";
+    if (FlatRecord::parse_number(value.text, num)) {
+      ev.fields[key] = num;
+    } else if (value.text != "null" && value.text != "true" &&
+               value.text != "false") {
+      if (error != nullptr) *error = "key '" + key + "' is not a number";
       return false;
     }
-    if (key == "t") {
-      ev.t = num;
-    } else if (key == "trace") {
-      ev.trace_id = static_cast<std::uint64_t>(num);
-    } else if (key == "span") {
-      ev.span_id = static_cast<std::uint64_t>(num);
-    } else if (key == "parent") {
-      ev.parent_id = static_cast<std::uint64_t>(num);
-    } else if (key == "capacity") {
-      meta.capacity = static_cast<std::uint64_t>(num);
-    } else if (key == "recorded") {
-      meta.recorded = static_cast<std::uint64_t>(num);
-    } else if (key == "retained") {
-      meta.retained = static_cast<std::uint64_t>(num);
-    } else if (key == "overwritten") {
-      meta.overwritten = static_cast<std::uint64_t>(num);
-    } else if (key == "dropped_fields") {
-      meta.dropped_fields = static_cast<std::uint64_t>(num);
-    } else {
-      ev.fields[key] = num;
-    }
   }
-  return true;
+  return check();
 }
 
 std::string outcome_label(double code) {
@@ -325,11 +239,11 @@ TraceAnalysis::TraceAnalysis(const std::vector<ParsedEvent>& events) {
       }
       if (s.parent_id == 0) continue;  // the root itself
       const double dur = s.duration();
-      if (s.name == "leg.queue") {
+      if (s.name == "task.leg.queue") {
         task.queueing += dur;
-      } else if (s.name == "leg.dispatch" || s.name == "leg.result") {
+      } else if (s.name == "task.leg.dispatch" || s.name == "task.leg.result") {
         task.network += dur;
-      } else if (s.name == "leg.exec") {
+      } else if (s.name == "task.leg.exec") {
         // The exec leg starts with the input transfer (its planned length
         // rides the span as "input_s"); that slice is network, the rest is
         // compute. A crash can end the leg mid-transfer, hence the clamp.
@@ -338,9 +252,9 @@ TraceAnalysis::TraceAnalysis(const std::vector<ParsedEvent>& events) {
         if (it != s.fields.end()) input = std::min(it->second, dur);
         task.network += input;
         task.compute += dur - input;
-      } else if (s.name == "leg.recover" || s.name == "leg.migrate") {
+      } else if (s.name == "task.leg.recover" || s.name == "task.leg.migrate") {
         task.recovery += dur;
-        if (s.name == "leg.migrate") ++task.migrations;
+        if (s.name == "task.leg.migrate") ++task.migrations;
       }
       // Any other span name falls into the residual below.
       auto crashed = s.fields.find("crashed");
@@ -472,7 +386,7 @@ void TraceAnalysis::reduce_dag(std::uint64_t trace_id,
   // Leg classification, winning attempt only — same rules as the per-task
   // reduction, so each node's legs partition its winning attempt's e2e.
   for (const Span& s : spans) {
-    if (s.name.rfind("leg.", 0) != 0) continue;
+    if (s.name.rfind("task.leg.", 0) != 0) continue;
     const Span* life = owning_life(s);
     if (life == nullptr) continue;
     const auto t = life->fields.find("task");
@@ -488,17 +402,17 @@ void TraceAnalysis::reduce_dag(std::uint64_t trace_id,
     if (win == winner_of.end() || win->second != life) continue;
     if (!s.closed()) continue;
     const double dur = s.duration();
-    if (s.name == "leg.queue") {
+    if (s.name == "task.leg.queue") {
       nb.queueing += dur;
-    } else if (s.name == "leg.dispatch" || s.name == "leg.result") {
+    } else if (s.name == "task.leg.dispatch" || s.name == "task.leg.result") {
       nb.network += dur;
-    } else if (s.name == "leg.exec") {
+    } else if (s.name == "task.leg.exec") {
       double input = 0.0;
       const auto in = s.fields.find("input_s");
       if (in != s.fields.end()) input = std::min(in->second, dur);
       nb.network += input;
       nb.compute += dur - input;
-    } else if (s.name == "leg.recover" || s.name == "leg.migrate") {
+    } else if (s.name == "task.leg.recover" || s.name == "task.leg.migrate") {
       nb.recovery += dur;
     }
   }

@@ -4,9 +4,9 @@
 // The paper's dependability question (§V) is *where* a task's latency goes
 // when the cloud churns underneath it: queueing at the broker, dispatch and
 // result transfer over the lossy V2V channel, compute on the worker, or
-// crash detection + recovery. The cloud emits contiguous `leg.*` spans that
-// partition each task's lifetime; this module reassembles them per trace_id
-// and reduces each tree to one breakdown row whose legs sum to the
+// crash detection + recovery. The cloud emits contiguous `task.leg.*` spans
+// that partition each task's lifetime; this module reassembles them per
+// trace_id and reduces each tree to one breakdown row whose legs sum to the
 // end-to-end latency. `tools/vcl_traceview` is a thin CLI over this.
 //
 // The parser understands exactly the flat JSONL the TraceRecorder writes

@@ -122,11 +122,9 @@ FileId StorageService::create(SimTime now) {
     grant_lease(obj, v, now);
   }
   ++stats_.objects;
-  if (trace_ != nullptr) {
-    trace_->record(now, obs::TraceCategory::kCloud, "storage.create",
-                   {{"object", static_cast<double>(id)},
-                    {"replicas", static_cast<double>(obj.placement.size())}});
-  }
+  obs::record(rec_, obs::ev::kStorageCreate, now,
+              {"object", static_cast<double>(id)},
+              {"replicas", static_cast<double>(obj.placement.size())});
   return FileId{id};
 }
 
@@ -153,12 +151,12 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
   // leg, so the span tree carries the full replica set. Tracing draws no
   // RNG, so an instrumented run stays bit-identical.
   const bool traced =
-      trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage);
+      rec_ != nullptr && rec_->tracing(obs::Category::kStorage);
   obs::TraceContext op_ctx;
   if (traced) {
-    op_ctx.trace_id = trace_->new_trace_id();
-    op_ctx.span_id = trace_->begin_span(
-        now, obs::TraceCategory::kStorage, "storage.put", op_ctx,
+    op_ctx.trace_id = rec_->new_trace_id();
+    op_ctx.span_id = rec_->begin_span(
+        obs::ev::kStoragePut, now, op_ctx,
         {{"object", static_cast<double>(object.value())},
          {"client", static_cast<double>(client)},
          {"version", static_cast<double>(version)},
@@ -174,9 +172,9 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
     obs::TraceContext leg_ctx;
     if (traced) {
       leg_ctx.trace_id = op_ctx.trace_id;
-      leg_ctx.span_id = trace_->begin_span(
-          now + leg_begin, obs::TraceCategory::kStorage, "storage.leg.attempt",
-          op_ctx, {{"attempt", static_cast<double>(attempt)}});
+      leg_ctx.span_id = rec_->begin_span(
+          obs::ev::kStorageLegAttempt, now + leg_begin, op_ctx,
+          {{"attempt", static_cast<double>(attempt)}});
     }
     for (const VehicleId v : obj.placement) {
       if (std::find(written.begin(), written.end(), v) != written.end()) {
@@ -189,24 +187,21 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
       obj.copy_version[v.value()] = version;
       written.push_back(v);
       if (traced) {
-        trace_->record(now + leg_begin, obs::TraceCategory::kStorage,
-                       "storage.replica.write", leg_ctx,
-                       {{"holder", static_cast<double>(v.value())},
-                        {"version", static_cast<double>(version)}});
+        obs::record(rec_, obs::ev::kStorageReplicaWrite, now + leg_begin,
+                    leg_ctx, {"holder", static_cast<double>(v.value())},
+                    {"version", static_cast<double>(version)});
       }
     }
     if (written.size() >= config_.write_quorum || attempt == max_attempts) {
       if (traced) {
-        trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                         "storage.leg.attempt", leg_ctx);
+        rec_->end_span(obs::ev::kStorageLegAttempt, now + elapsed, leg_ctx);
       }
       break;
     }
     elapsed += vcloud::retry_backoff(config_.retry, attempt, rng_);
     if (traced) {
-      trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                       "storage.leg.attempt", leg_ctx,
-                       {{"backoff", elapsed - leg_begin}});
+      rec_->end_span(obs::ev::kStorageLegAttempt, now + elapsed, leg_ctx,
+                     {{"backoff", elapsed - leg_begin}});
     }
     if (elapsed > config_.op_deadline) break;
   }
@@ -223,32 +218,22 @@ WriteResult StorageService::put(std::uint64_t client, FileId object,
     if (oracle_ != nullptr) {
       oracle_->on_storage_ack(object, version, written, now);
     }
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "storage.write.ack",
-                     {{"object", static_cast<double>(object.value())},
-                      {"version", static_cast<double>(version)},
-                      {"client", static_cast<double>(client)},
-                      {"replicas", static_cast<double>(written.size())}});
-    }
+    obs::record(rec_, obs::ev::kStorageWriteAck, now,
+                {"object", static_cast<double>(object.value())},
+                {"version", static_cast<double>(version)},
+                {"client", static_cast<double>(client)},
+                {"replicas", static_cast<double>(written.size())});
   } else {
     ++stats_.writes_failed;
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "storage.write.fail",
-                     {{"object", static_cast<double>(object.value())},
-                      {"client", static_cast<double>(client)},
-                      {"replicas", static_cast<double>(written.size())}});
-    }
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kQuorum,
-                      "quorum.write.failed", object.value(), client,
-                      static_cast<double>(written.size()));
-    }
+    obs::record(rec_, obs::ev::kQuorumWriteFailed, now,
+                {"object", static_cast<double>(object.value())},
+                {"client", static_cast<double>(client)},
+                {"replicas", static_cast<double>(written.size())});
   }
   if (traced) {
-    trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                     "storage.put", op_ctx,
-                     {{"acked", result.acked ? 1.0 : 0.0},
-                      {"replicas", static_cast<double>(written.size())}});
+    rec_->end_span(obs::ev::kStoragePut, now + elapsed, op_ctx,
+                   {{"acked", result.acked ? 1.0 : 0.0},
+                    {"replicas", static_cast<double>(written.size())}});
   }
   return result;
 }
@@ -264,12 +249,12 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
   // [now, now + elapsed], attempt legs partitioning it, and one
   // storage.replica.read instant per responding holder (the replica set).
   const bool traced =
-      trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage);
+      rec_ != nullptr && rec_->tracing(obs::Category::kStorage);
   obs::TraceContext op_ctx;
   if (traced) {
-    op_ctx.trace_id = trace_->new_trace_id();
-    op_ctx.span_id = trace_->begin_span(
-        now, obs::TraceCategory::kStorage, "storage.get", op_ctx,
+    op_ctx.trace_id = rec_->new_trace_id();
+    op_ctx.span_id = rec_->begin_span(
+        obs::ev::kStorageGet, now, op_ctx,
         {{"object", static_cast<double>(object.value())},
          {"client", static_cast<double>(client)},
          {"replicas", static_cast<double>(obj.placement.size())}});
@@ -285,9 +270,9 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
     obs::TraceContext leg_ctx;
     if (traced) {
       leg_ctx.trace_id = op_ctx.trace_id;
-      leg_ctx.span_id = trace_->begin_span(
-          now + leg_begin, obs::TraceCategory::kStorage, "storage.leg.attempt",
-          op_ctx, {{"attempt", static_cast<double>(attempt)}});
+      leg_ctx.span_id = rec_->begin_span(
+          obs::ev::kStorageLegAttempt, now + leg_begin, op_ctx,
+          {{"attempt", static_cast<double>(attempt)}});
     }
     for (const VehicleId v : obj.placement) {
       if (std::find(answered.begin(), answered.end(), v) != answered.end()) {
@@ -299,47 +284,41 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
       const auto cv = obj.copy_version.find(v.value());
       if (cv != obj.copy_version.end()) max_seen = std::max(max_seen, cv->second);
       if (traced) {
-        trace_->record(now + leg_begin, obs::TraceCategory::kStorage,
-                       "storage.replica.read", leg_ctx,
-                       {{"holder", static_cast<double>(v.value())},
-                        {"version",
-                         static_cast<double>(cv != obj.copy_version.end()
-                                                 ? cv->second
-                                                 : 0)}});
+        obs::record(rec_, obs::ev::kStorageReplicaRead, now + leg_begin,
+                    leg_ctx, {"holder", static_cast<double>(v.value())},
+                    {"version",
+                     static_cast<double>(
+                         cv != obj.copy_version.end() ? cv->second : 0)});
       }
     }
     if (answered.size() >= config_.read_quorum || attempt == max_attempts) {
       if (traced) {
-        trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                         "storage.leg.attempt", leg_ctx);
+        rec_->end_span(obs::ev::kStorageLegAttempt, now + elapsed, leg_ctx);
       }
       break;
     }
     elapsed += vcloud::retry_backoff(config_.retry, attempt, rng_);
     if (traced) {
-      trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                       "storage.leg.attempt", leg_ctx,
-                       {{"backoff", elapsed - leg_begin}});
+      rec_->end_span(obs::ev::kStorageLegAttempt, now + elapsed, leg_ctx,
+                     {{"backoff", elapsed - leg_begin}});
     }
     if (elapsed > config_.op_deadline) break;
   }
   stats_.get_latency_tail.add(elapsed);
   const auto end_op_span = [&](double ok, double degraded) {
     if (!traced) return;
-    trace_->end_span(now + elapsed, obs::TraceCategory::kStorage,
-                     "storage.get", op_ctx,
-                     {{"ok", ok},
-                      {"degraded", degraded},
-                      {"responses", static_cast<double>(answered.size())}});
+    rec_->end_span(obs::ev::kStorageGet, now + elapsed, op_ctx,
+                   {{"ok", ok},
+                    {"degraded", degraded},
+                    {"responses", static_cast<double>(answered.size())}});
   };
 
   result.responses = answered.size();
   if (answered.empty()) {
     ++stats_.reads_failed;
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kQuorum,
-                      "quorum.read.failed", object.value(), client);
-    }
+    obs::record(rec_, obs::ev::kQuorumReadFailed, now,
+                {"object", static_cast<double>(object.value())},
+                {"client", static_cast<double>(client)});
     end_op_span(0.0, 0.0);
     return result;
   }
@@ -362,18 +341,11 @@ ReadResult StorageService::get(std::uint64_t client, FileId object,
     if (oracle_ != nullptr) {
       oracle_->on_storage_read(client, object, result.version, true, now);
     }
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "storage.read.degraded",
-                     {{"object", static_cast<double>(object.value())},
-                      {"client", static_cast<double>(client)},
-                      {"responses", static_cast<double>(answered.size())},
-                      {"version", static_cast<double>(max_seen)}});
-    }
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kQuorum,
-                      "quorum.read.degraded", object.value(), client,
-                      static_cast<double>(answered.size()));
-    }
+    obs::record(rec_, obs::ev::kQuorumReadDegraded, now,
+                {"object", static_cast<double>(object.value())},
+                {"client", static_cast<double>(client)},
+                {"responses", static_cast<double>(answered.size())},
+                {"version", static_cast<double>(max_seen)});
   }
   end_op_span(1.0, result.degraded ? 1.0 : 0.0);
   return result;
@@ -402,15 +374,9 @@ void StorageService::maintenance(SimTime now) {
     for (const VehicleId v : obj.leases.expired(now)) {
       obj.leases.revoke(v);
       ++stats_.leases_expired;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kCloud, "storage.lease.expire",
-                       {{"object", static_cast<double>(id)},
-                        {"holder", static_cast<double>(v.value())}});
-      }
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kLease, "lease.expire", id,
-                        v.value());
-      }
+      obs::record(rec_, obs::ev::kLeaseExpire, now,
+                  {"object", static_cast<double>(id)},
+                  {"holder", static_cast<double>(v.value())});
     }
     for (const VehicleId v : obj.placement) {
       if (!obj.leases.known(v)) continue;
@@ -459,12 +425,9 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
     if (holder_alive(v) && cloud_.is_worker(v)) {
       grant_lease(obj, v, now);
       ++stats_.leases_regranted;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kCloud,
-                       "storage.lease.regrant",
-                       {{"object", static_cast<double>(id)},
-                        {"holder", static_cast<double>(v.value())}});
-      }
+      obs::record(rec_, obs::ev::kLeaseRegrant, now,
+                  {"object", static_cast<double>(id)},
+                  {"holder", static_cast<double>(v.value())});
     }
   }
 
@@ -542,13 +505,11 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
       grant_lease(obj, dst, now);
       ++stats_.repair_copies;
       stats_.mb_copied += static_cast<double>(config_.object_bytes) / 1e6;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kCloud, "storage.repair.copy",
-                       {{"object", static_cast<double>(id)},
-                        {"from", static_cast<double>(src.value())},
-                        {"to", static_cast<double>(dst.value())},
-                        {"version", static_cast<double>(best)}});
-      }
+      obs::record(rec_, obs::ev::kStorageRepairCopy, now,
+                  {"object", static_cast<double>(id)},
+                  {"from", static_cast<double>(src.value())},
+                  {"to", static_cast<double>(dst.value())},
+                  {"version", static_cast<double>(best)});
     } else {
       // No data yet: membership grows by metadata alone.
       --budget;
@@ -577,12 +538,9 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
       }
       if (victim.valid()) {
         prune_holder(obj, victim);
-        if (trace_ != nullptr) {
-          trace_->record(now, obs::TraceCategory::kCloud,
-                         "storage.repair.prune",
-                         {{"object", static_cast<double>(id)},
-                          {"holder", static_cast<double>(victim.value())}});
-        }
+        obs::record(rec_, obs::ev::kStorageRepairPrune, now,
+                    {"object", static_cast<double>(id)},
+                    {"holder", static_cast<double>(victim.value())});
       }
     }
   }
@@ -592,30 +550,28 @@ void StorageService::repair_object(std::uint64_t id, ObjectState& obj,
   // object id, what the cycle did, and (as child instants) the replica set
   // it left behind. trace_analysis buckets these per object and attributes
   // them to fault windows.
-  if (trace_ != nullptr && trace_->enabled(obs::TraceCategory::kStorage)) {
+  if (rec_ != nullptr && rec_->tracing(obs::Category::kStorage)) {
     const std::size_t copies = stats_.repair_copies - copies0;
     const std::size_t freshened = stats_.freshen_copies - freshened0;
     const std::size_t regranted = stats_.leases_regranted - regranted0;
     const std::size_t pruned = stats_.pruned - pruned0;
     if (copies + freshened + regranted + pruned > 0) {
       obs::TraceContext ctx;
-      ctx.trace_id = trace_->new_trace_id();
-      ctx.span_id = trace_->begin_span(
-          now, obs::TraceCategory::kStorage, "storage.repair", ctx,
+      ctx.trace_id = rec_->new_trace_id();
+      ctx.span_id = rec_->begin_span(
+          obs::ev::kStorageRepair, now, ctx,
           {{"object", static_cast<double>(id)},
            {"replicas", static_cast<double>(obj.placement.size())}});
       for (const VehicleId v : obj.placement) {
-        trace_->record(now, obs::TraceCategory::kStorage,
-                       "storage.repair.replica", ctx,
-                       {{"holder", static_cast<double>(v.value())},
-                        {"version", static_cast<double>(version_of(v))}});
+        obs::record(rec_, obs::ev::kStorageRepairReplica, now, ctx,
+                    {"holder", static_cast<double>(v.value())},
+                    {"version", static_cast<double>(version_of(v))});
       }
-      trace_->end_span(now, obs::TraceCategory::kStorage, "storage.repair",
-                       ctx,
-                       {{"copies", static_cast<double>(copies)},
-                        {"freshened", static_cast<double>(freshened)},
-                        {"regranted", static_cast<double>(regranted)},
-                        {"pruned", static_cast<double>(pruned)}});
+      rec_->end_span(obs::ev::kStorageRepair, now, ctx,
+                     {{"copies", static_cast<double>(copies)},
+                      {"freshened", static_cast<double>(freshened)},
+                      {"regranted", static_cast<double>(regranted)},
+                      {"pruned", static_cast<double>(pruned)}});
     }
   }
 }

@@ -39,9 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
+#include "obs/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "storage/lease.h"
 #include "util/quantile_sketch.h"
 #include "vcloud/cloud.h"
@@ -158,10 +157,10 @@ class StorageService final : public vcloud::StorageIntrospection {
 
   // Nullable hookups, same inertness contract as the cloud's.
   void set_oracle(vcloud::InvariantOracle* oracle) { oracle_ = oracle; }
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-  // Always-on forensics (DESIGN.md §12): lease expiries and quorum
-  // degradations are the storage clues an incident bundle needs.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  // Lease expiries and quorum degradations land in the always-on flight
+  // ring (the storage clues an incident bundle needs, DESIGN.md §12); op
+  // spans and repair activity are trace-only.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
   void register_metrics(obs::MetricsRegistry& metrics) const;
 
  private:
@@ -205,8 +204,7 @@ class StorageService final : public vcloud::StorageIntrospection {
   SimTime last_repair_ = -1e300;
   StorageStats stats_;
   vcloud::InvariantOracle* oracle_ = nullptr;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
 };
 
 }  // namespace vcl::storage

@@ -4,9 +4,8 @@ namespace vcl::vcloud {
 
 void AdmissionControl::note_revoked(VehicleId v, SimTime now) {
   ++stats_.revocations;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAuth, "auth.revoke", v.value());
-  }
+  obs::record(rec_, obs::ev::kAuthRevoke, now,
+              {"vehicle", static_cast<double>(v.value())});
 }
 
 void AdmissionControl::deliver_crl(VehicleId v, SimTime visible_at,
@@ -14,10 +13,9 @@ void AdmissionControl::deliver_crl(VehicleId v, SimTime visible_at,
   crl_.revoke(v.value());
   deliveries_[v.value()] = Delivery{visible_at, horizon_at};
   ++stats_.crl_deliveries;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAuth, "auth.crl.deliver",
-                    v.value(), 0, horizon_at);
-  }
+  obs::record(rec_, obs::ev::kAuthCrlDeliver, now,
+              {"vehicle", static_cast<double>(v.value())},
+              {"horizon", horizon_at});
 }
 
 void AdmissionControl::lift_revocation(VehicleId v) {
@@ -43,18 +41,15 @@ bool AdmissionControl::allow_arrival(VehicleId v, SimTime now) {
   if (!config_.defend) return true;
   if (!revoked_visible(v, now)) return true;
   ++stats_.arrivals_rejected;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAuth, "auth.arrival.reject",
-                    v.value());
-  }
+  obs::record(rec_, obs::ev::kAuthArrivalReject, now,
+              {"vehicle", static_cast<double>(v.value())});
   return false;
 }
 
 void AdmissionControl::note_evicted(VehicleId v, SimTime now) {
   ++stats_.revoked_evictions;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAuth, "auth.evict", v.value());
-  }
+  obs::record(rec_, obs::ev::kAuthEvict, now,
+              {"vehicle", static_cast<double>(v.value())});
 }
 
 AdmissionControl::ClaimOutcome AdmissionControl::offer_claim(VehicleId v,
@@ -66,17 +61,14 @@ AdmissionControl::ClaimOutcome AdmissionControl::offer_claim(VehicleId v,
     // E24 vulnerable baseline measures).
     admitted_claims_.insert(v.value());
     if (fabricated) ++stats_.sybil_admitted;
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kAttack, "attack.sybil.admit",
-                      v.value(), fabricated ? 1 : 0);
-    }
+    obs::record(rec_, obs::ev::kAttackSybilAdmit, now,
+                {"vehicle", static_cast<double>(v.value())},
+                {"fabricated", fabricated ? 1.0 : 0.0});
     return ClaimOutcome::kAdmitted;
   }
   if (revoked_visible(v, now)) {
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kAttack, "attack.claim.reject",
-                      v.value());
-    }
+    obs::record(rec_, obs::ev::kAttackClaimReject, now,
+                {"vehicle", static_cast<double>(v.value())});
     return ClaimOutcome::kRejected;
   }
   if (fabricated) {
@@ -87,27 +79,22 @@ AdmissionControl::ClaimOutcome AdmissionControl::offer_claim(VehicleId v,
       ++unverified_admitted_;
       ++stats_.sybil_admitted;
       admitted_claims_.insert(v.value());
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kAttack,
-                        "attack.sybil.admit", v.value(), 1);
-      }
+      obs::record(rec_, obs::ev::kAttackSybilAdmit, now,
+                  {"vehicle", static_cast<double>(v.value())},
+                  {"fabricated", 1.0});
       return ClaimOutcome::kAdmitted;
     }
     quarantine_.insert(v.value());
     ++stats_.sybil_quarantined;
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kAttack,
-                      "attack.sybil.quarantine", v.value());
-    }
+    obs::record(rec_, obs::ev::kAttackSybilQuarantine, now,
+                {"vehicle", static_cast<double>(v.value())});
     return ClaimOutcome::kQuarantined;
   }
   // A genuine identity re-presenting itself (e.g. a fresh join that passed
   // the freshness gate): admit.
   admitted_claims_.insert(v.value());
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAttack, "attack.claim.admit",
-                    v.value());
-  }
+  obs::record(rec_, obs::ev::kAttackClaimAdmit, now,
+              {"vehicle", static_cast<double>(v.value())});
   return ClaimOutcome::kAdmitted;
 }
 
@@ -124,17 +111,14 @@ bool AdmissionControl::accept_replay(SimTime original_ts, std::uint64_t nonce,
       attack::make_fresh_payload(crypto::Bytes{}, original_ts, nonce);
   if (freshness_.accept(payload, now)) {
     ++stats_.replays_accepted;
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kAttack,
-                      "attack.replay.accept", nonce);
-    }
+    obs::record(rec_, obs::ev::kAttackReplayAccept, now,
+                {"nonce", static_cast<double>(nonce)});
     return true;
   }
   ++stats_.replays_rejected;
-  if (flight_ != nullptr) {
-    flight_->record(now, obs::FlightCategory::kAttack, "attack.replay.reject",
-                    nonce, 0, now - original_ts);
-  }
+  obs::record(rec_, obs::ev::kAttackReplayReject, now,
+              {"nonce", static_cast<double>(nonce)},
+              {"age", now - original_ts});
   return false;
 }
 

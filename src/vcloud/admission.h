@@ -40,7 +40,7 @@
 
 #include "attack/replay.h"
 #include "auth/crl.h"
-#include "obs/flight_recorder.h"
+#include "obs/recorder.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -84,9 +84,10 @@ class AdmissionControl {
   explicit AdmissionControl(AdmissionConfig config)
       : config_(config), freshness_(config.freshness_window) {}
 
-  // Always-on forensics: admission/eviction decisions land on the
-  // kAuth/kAttack flight categories. Null = one branch per decision.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  // Always-on forensics: admission/eviction decisions are auth.* and
+  // attack.* events, kept in the flight ring. Null = one branch per
+  // decision.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
 
   [[nodiscard]] const AdmissionConfig& config() const { return config_; }
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }
@@ -101,7 +102,7 @@ class AdmissionControl {
   [[nodiscard]] bool is_fabricated(VehicleId v) const {
     return fabricated_.count(v.value()) != 0;
   }
-  // Authority-side revoke observed (stats + flight only: RSUs know nothing
+  // Authority-side revoke observed (stats + recorder only: RSUs know nothing
   // until deliver_crl — that gap IS the §IV race).
   void note_revoked(VehicleId v, SimTime now);
   // The fresh CRL reaches this cloud's RSUs at `visible_at`; EVERY RSU
@@ -171,7 +172,7 @@ class AdmissionControl {
   std::unordered_set<std::uint64_t> admitted_claims_;
   std::unordered_set<std::uint64_t> quarantine_;
   std::size_t unverified_admitted_ = 0;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
 };
 
 }  // namespace vcl::vcloud

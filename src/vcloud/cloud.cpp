@@ -181,7 +181,7 @@ double VehicularCloud::earned_progress(const Task& task,
 }
 
 // ---- causal span tracing ----------------------------------------------------
-// The cloud keeps exactly one `leg.*` span open per live traced task;
+// The cloud keeps exactly one `task.leg.*` span open per live traced task;
 // trace_open_leg closes the previous leg at the same instant, so the legs
 // partition [submit, terminal] and a breakdown over them sums to the
 // end-to-end latency by construction (DESIGN.md §8). No simulator events
@@ -189,51 +189,56 @@ double VehicularCloud::earned_progress(const Task& task,
 // already happen, so the event ordering (and thus the run) is unchanged.
 
 void VehicularCloud::trace_task_start(Task& task) {
-  if (trace_ == nullptr) return;
+  if (rec_ == nullptr || !rec_->tracing()) return;
   const SimTime now = net_.simulator().now();
   // A pre-stamped context (the DAG scheduler's dag.run root) makes this
   // task a child subtree of an existing trace; otherwise it roots its own.
   const std::uint64_t parent_span = task.trace.span_id;
-  if (task.trace.trace_id == 0) task.trace.trace_id = trace_->new_trace_id();
-  task.trace.span_id = trace_->begin_span(
-      now, obs::TraceCategory::kTask, "task.life",
+  if (task.trace.trace_id == 0) task.trace.trace_id = rec_->new_trace_id();
+  task.trace.span_id = rec_->begin_span(
+      obs::ev::kTaskLife, now,
       obs::TraceContext{task.trace.trace_id, parent_span},
       {{"task", static_cast<double>(task.id.value())},
        {"work", task.work},
        {"deadline", task.deadline}});
-  trace_open_leg(task, "leg.queue");
+  trace_open_leg(task, obs::ev::kTaskLegQueue);
 }
 
-void VehicularCloud::trace_open_leg(
-    Task& task, const char* name,
-    std::initializer_list<obs::TraceRecorder::Field> fields) {
-  if (trace_ == nullptr || !task.trace.valid()) return;
+void VehicularCloud::trace_open_leg(Task& task, const obs::EventKind& leg,
+                                    std::initializer_list<obs::Field> fields) {
+  if (rec_ == nullptr || !task.trace.valid()) return;
   trace_close_leg(task);
   task.open_leg =
-      trace_->begin_span(net_.simulator().now(), obs::TraceCategory::kTask,
-                         name, task.trace, fields);
-  task.open_leg_name = name;
+      rec_->begin_span(leg, net_.simulator().now(), task.trace, fields);
+  task.open_leg_kind = &leg;
 }
 
 void VehicularCloud::trace_close_leg(
-    Task& task, std::initializer_list<obs::TraceRecorder::Field> fields) {
-  if (trace_ == nullptr || task.open_leg == 0) return;
-  trace_->end_span(net_.simulator().now(), obs::TraceCategory::kTask,
-                   task.open_leg_name,
-                   obs::TraceContext{task.trace.trace_id, task.open_leg},
-                   fields);
+    Task& task, std::initializer_list<obs::Field> fields) {
+  if (rec_ == nullptr || task.open_leg == 0) return;
+  rec_->end_span(*task.open_leg_kind, net_.simulator().now(),
+                 obs::TraceContext{task.trace.trace_id, task.open_leg},
+                 fields);
   task.open_leg = 0;
-  task.open_leg_name = "";
+  task.open_leg_kind = nullptr;
 }
 
 void VehicularCloud::trace_task_end(Task& task, double outcome) {
-  if (trace_ == nullptr || task.trace.span_id == 0) return;
+  if (rec_ == nullptr || task.trace.span_id == 0) return;
   trace_close_leg(task);
-  trace_->end_span(net_.simulator().now(), obs::TraceCategory::kTask,
-                   "task.life", task.trace, {{"outcome", outcome}});
+  rec_->end_span(obs::ev::kTaskLife, net_.simulator().now(), task.trace,
+                 {{"outcome", outcome}});
   // Keep trace_id for post-mortem lookup; zero the root span id so a
   // second terminal transition can never double-close the tree.
   task.trace.span_id = 0;
+}
+
+void VehicularCloud::record_expire(const Task& task, VehicleId worker,
+                                   SimTime now) {
+  obs::record(rec_, obs::ev::kTaskExpire, now, task.trace,
+              {"task", static_cast<double>(task.id.value())},
+              {"worker", worker.valid() ? static_cast<double>(worker.value())
+                                        : 0.0});
 }
 
 TaskId VehicularCloud::submit(Task spec) {
@@ -245,14 +250,13 @@ TaskId VehicularCloud::submit(Task spec) {
   task_epoch_[id.value()] = 0;
   pending_.push_back(id);
   ++stats_.submitted;
-  if (trace_ != nullptr) {
+  if (rec_ != nullptr && rec_->tracing()) {
     Task& t = tasks_.at(id.value());
     trace_task_start(t);
-    trace_->record(net_.simulator().now(), obs::TraceCategory::kTask,
-                   "task.submit", t.trace,
-                   {{"task", static_cast<double>(id.value())},
-                    {"work", t.work},
-                    {"deadline", t.deadline}});
+    obs::record(rec_, obs::ev::kTaskSubmit, net_.simulator().now(), t.trace,
+                {"task", static_cast<double>(id.value())},
+                {"work", t.work},
+                {"deadline", t.deadline});
   }
   dispatch();
   return id;
@@ -260,17 +264,15 @@ TaskId VehicularCloud::submit(Task spec) {
 
 void VehicularCloud::assign(Task& task, WorkerState& worker,
                             VehicleId worker_id, bool charge_input) {
-  if (trace_ != nullptr) {
-    trace_->record(net_.simulator().now(), obs::TraceCategory::kTask,
-                   "task.dispatch", task.trace,
-                   {{"task", static_cast<double>(task.id.value())},
-                    {"worker", static_cast<double>(worker_id.value())},
-                    {"progress", task.progress}});
-  }
+  obs::record(rec_, obs::ev::kTaskDispatch, net_.simulator().now(),
+              task.trace,
+              {"task", static_cast<double>(task.id.value())},
+              {"worker", static_cast<double>(worker_id.value())},
+              {"progress", task.progress});
   task.state = TaskState::kRunning;
   task.worker = worker_id;
   worker.running = task.id;
-  trace_open_leg(task, "leg.dispatch",
+  trace_open_leg(task, obs::ev::kTaskLegDispatch,
                  {{"worker", static_cast<double>(worker_id.value())}});
   const std::uint64_t epoch = ++task_epoch_[task.id.value()];
   if (config_.dependability.retry.enabled && charge_input) {
@@ -294,7 +296,7 @@ void VehicularCloud::begin_execution(Task& task, WorkerState& worker,
   task.run_started = now + input_delay;
   // The exec leg starts at the dispatch ack; the leading input transfer is
   // carried as `input_s` so the analyzer re-attributes it to the network.
-  trace_open_leg(task, "leg.exec",
+  trace_open_leg(task, obs::ev::kTaskLegExec,
                  {{"worker", static_cast<double>(task.worker.value())},
                   {"input_s", input_delay}});
 
@@ -334,13 +336,10 @@ void VehicularCloud::attempt_dispatch_send(TaskId id, std::uint64_t epoch,
   }
 
   ++stats_.retries;
-  if (trace_ != nullptr) {
-    trace_->record(net_.simulator().now(), obs::TraceCategory::kTask,
-                   "task.retry", task.trace,
-                   {{"task", static_cast<double>(id.value())},
-                    {"attempt", static_cast<double>(attempt)},
-                    {"kind", 1.0}});  // 1 = dispatch, 2 = result
-  }
+  obs::record(rec_, obs::ev::kTaskRetry, net_.simulator().now(), task.trace,
+              {"task", static_cast<double>(id.value())},
+              {"attempt", static_cast<double>(attempt)},
+              {"kind", 1.0});  // 1 = dispatch, 2 = result
   const SimTime delay =
       retry_backoff(config_.dependability.retry, attempt, rng_);
   if (attempt >= config_.dependability.retry.max_attempts) {
@@ -352,7 +351,7 @@ void VehicularCloud::attempt_dispatch_send(TaskId id, std::uint64_t epoch,
     task.worker = VehicleId{};
     task.run_started = 0.0;
     pending_.push_back(id);
-    trace_open_leg(task, "leg.queue");
+    trace_open_leg(task, obs::ev::kTaskLegQueue);
     net_.simulator().schedule_after(delay, [this] { dispatch(); },
                                     "cloud.dispatch");
     return;
@@ -391,13 +390,10 @@ void VehicularCloud::attempt_result_send(TaskId id, std::uint64_t epoch,
   }
 
   ++stats_.retries;
-  if (trace_ != nullptr) {
-    trace_->record(net_.simulator().now(), obs::TraceCategory::kTask,
-                   "task.retry", task.trace,
-                   {{"task", static_cast<double>(id.value())},
-                    {"attempt", static_cast<double>(attempt)},
-                    {"kind", 2.0}});
-  }
+  obs::record(rec_, obs::ev::kTaskRetry, net_.simulator().now(), task.trace,
+              {"task", static_cast<double>(id.value())},
+              {"attempt", static_cast<double>(attempt)},
+              {"kind", 2.0});
   // The worker holds the result and keeps retrying at capped backoff: the
   // task only completes once the broker hears about it.
   const int capped = std::min(attempt, config_.dependability.retry.max_attempts);
@@ -462,12 +458,9 @@ void VehicularCloud::maybe_replicate(Task& task) {
   worker.running = task.id;
   replicas_[task.id.value()] = replica;
   ++stats_.replicas_launched;
-  if (trace_ != nullptr) {
-    trace_->record(now, obs::TraceCategory::kTask, "task.replica",
-                   task.trace,
-                   {{"task", static_cast<double>(task.id.value())},
-                    {"worker", static_cast<double>(pick.value())}});
-  }
+  obs::record(rec_, obs::ev::kTaskReplica, now, task.trace,
+              {"task", static_cast<double>(task.id.value())},
+              {"worker", static_cast<double>(pick.value())});
 
   const SimTime exec =
       (task.work - replica.base_progress) / worker.profile.compute;
@@ -567,7 +560,7 @@ void VehicularCloud::on_complete(TaskId id, std::uint64_t epoch) {
 
   task.progress = task.work;
   if (config_.dependability.retry.enabled) {
-    trace_open_leg(task, "leg.result");
+    trace_open_leg(task, obs::ev::kTaskLegResult);
     attempt_result_send(id, epoch, 1);
     return;
   }
@@ -586,35 +579,18 @@ void VehicularCloud::finalize_completion(Task& task) {
   if (task.deadline > 0.0 && now > task.deadline) {
     task.state = TaskState::kExpired;
     ++stats_.expired;
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                     task.trace,
-                     {{"task", static_cast<double>(task.id.value())}});
-    }
+    record_expire(task, task.worker, now);
     trace_task_end(task, obs::kOutcomeExpired);
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kTask, "task.expire",
-                      task.id.value(),
-                      task.worker.valid() ? task.worker.value() : 0);
-    }
   } else {
     task.state = TaskState::kCompleted;
     ++stats_.completed;
     stats_.latency.add(now - task.created);
     stats_.latency_tail.add(now - task.created);
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kTask, "task.complete",
-                     task.trace,
-                     {{"task", static_cast<double>(task.id.value())},
-                      {"worker", static_cast<double>(task.worker.value())},
-                      {"latency", now - task.created}});
-    }
+    obs::record(rec_, obs::ev::kTaskComplete, now, task.trace,
+                {"task", static_cast<double>(task.id.value())},
+                {"worker", static_cast<double>(task.worker.value())},
+                {"latency", now - task.created});
     trace_task_end(task, obs::kOutcomeCompleted);
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kTask, "task.complete",
-                      task.id.value(), task.worker.value(),
-                      now - task.created);
-    }
     if (completion_hook_) completion_hook_(task);
   }
   if (oracle_ != nullptr) oracle_->on_terminal(task, now);
@@ -653,14 +629,11 @@ void VehicularCloud::interrupt_and_recover(Task& task,
       ++task.migrations;
       ++stats_.migrations;
       target_it->second.running = task.id;  // reserve the target
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kTask, "task.migrate",
-                       task.trace,
-                       {{"task", static_cast<double>(task.id.value())},
-                        {"to", static_cast<double>(target.value())},
-                        {"progress", task.progress}});
-      }
-      trace_open_leg(task, "leg.migrate",
+      obs::record(rec_, obs::ev::kTaskMigrate, now, task.trace,
+                  {"task", static_cast<double>(task.id.value())},
+                  {"to", static_cast<double>(target.value())},
+                  {"progress", task.progress});
+      trace_open_leg(task, obs::ev::kTaskLegMigrate,
                      {{"to", static_cast<double>(target.value())}});
       const TaskId tid = task.id;
       const std::uint64_t epoch = task_epoch_[tid.value()];
@@ -678,7 +651,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
           // progress preserved (the checkpoint still exists at the broker).
           t.state = TaskState::kPending;
           pending_.push_back(t.id);
-          trace_open_leg(t, "leg.queue");
+          trace_open_leg(t, obs::ev::kTaskLegQueue);
           dispatch();
           return;
         }
@@ -690,7 +663,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
     task.state = TaskState::kPending;
     task.worker = VehicleId{};
     pending_.push_back(task.id);
-    trace_open_leg(task, "leg.queue");
+    trace_open_leg(task, obs::ev::kTaskLegQueue);
     return;
   }
 
@@ -705,7 +678,7 @@ void VehicularCloud::interrupt_and_recover(Task& task,
   task.state = TaskState::kPending;
   task.worker = VehicleId{};
   pending_.push_back(task.id);
-  trace_open_leg(task, "leg.queue");
+  trace_open_leg(task, obs::ev::kTaskLegQueue);
 }
 
 void VehicularCloud::recover_from_crash(Task& task) {
@@ -728,7 +701,7 @@ void VehicularCloud::recover_from_crash(Task& task) {
   }  // else: DELIBERATE test-only bug — the task strands un-queued forever
   // Ends the recover leg opened at the crash: the span's duration is the
   // crash -> declared-dead -> requeued detection latency.
-  trace_open_leg(task, "leg.queue");
+  trace_open_leg(task, obs::ev::kTaskLegQueue);
 }
 
 void VehicularCloud::crash_worker(VehicleId v) {
@@ -770,7 +743,7 @@ void VehicularCloud::crash_worker(VehicleId v) {
     // The exec (or dispatch) leg dies with the worker; the recover leg runs
     // until the failure detector declares the zombie dead and requeues.
     trace_close_leg(task, {{"crashed", 1.0}});
-    trace_open_leg(task, "leg.recover",
+    trace_open_leg(task, obs::ev::kTaskLegRecover,
                    {{"worker", static_cast<double>(v.value())}});
   }
 }
@@ -822,31 +795,19 @@ void VehicularCloud::declare_dead(VehicleId v) {
     auto ct = crash_time_.find(v.value());
     if (ct != crash_time_.end()) {
       stats_.detection_latency.add(now - ct->second);
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kCloud, "cloud.worker.dead",
-                       {{"worker", static_cast<double>(v.value())},
-                        {"crashed", 1.0},
-                        {"latency", now - ct->second}});
-      }
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kDetector, "detector.evict",
-                        v.value(), 1, now - ct->second);
-      }
+      obs::record(rec_, obs::ev::kDetectorEvict, now,
+                  {"worker", static_cast<double>(v.value())},
+                  {"crashed", 1.0},
+                  {"latency", now - ct->second});
       crash_time_.erase(ct);
     }
   } else {
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "cloud.worker.dead",
-                     {{"worker", static_cast<double>(v.value())},
-                      {"crashed", 0.0}});
-    }
     // The worker is alive — its beats were eaten by the channel. Killing
     // it anyway is the price of bounded detection latency.
     ++stats_.false_positive_kills;
-    if (flight_ != nullptr) {
-      flight_->record(now, obs::FlightCategory::kDetector, "detector.evict",
-                      v.value(), 0);
-    }
+    obs::record(rec_, obs::ev::kDetectorEvict, now,
+                {"worker", static_cast<double>(v.value())},
+                {"crashed", 0.0});
   }
   const WorkerState state = it->second;
   workers_.erase(it);
@@ -906,12 +867,8 @@ void VehicularCloud::checkpoint_round() {
     if (earned <= task.checkpoint_progress) continue;
     task.checkpoint_progress = earned;
     ++stats_.checkpoints;
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "cloud.ckpt",
-                     task.trace,
-                     {{"task", static_cast<double>(tid)},
-                      {"progress", earned}});
-    }
+    obs::record(rec_, obs::ev::kCloudCkpt, now, task.trace,
+                {"task", static_cast<double>(tid)}, {"progress", earned});
     // Cost accounting reuses the handover checkpoint model: the snapshot
     // shipped to the broker grows with completed work.
     Task snapshot = task;
@@ -941,11 +898,9 @@ void VehicularCloud::refresh() {
     WorkerState state = workers_[vid];
     workers_.erase(vid);
     detector_.forget(v);
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.leave",
-                     {{"worker", static_cast<double>(vid)},
-                      {"members", static_cast<double>(workers_.size())}});
-    }
+    obs::record(rec_, obs::ev::kCloudMemberLeave, now,
+                {"worker", static_cast<double>(vid)},
+                {"members", static_cast<double>(workers_.size())});
     if (state.running.valid()) {
       auto it = tasks_.find(state.running.value());
       if (it != tasks_.end() && !it->second.terminal()) {
@@ -978,11 +933,9 @@ void VehicularCloud::refresh() {
     workers_.emplace(v.value(),
                      WorkerState{profile_for(s->automation), TaskId{}});
     detector_.track(v, now);
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.join",
-                     {{"worker", static_cast<double>(v.value())},
-                      {"members", static_cast<double>(workers_.size())}});
-    }
+    obs::record(rec_, obs::ev::kCloudMemberJoin, now,
+                {"worker", static_cast<double>(v.value())},
+                {"members", static_cast<double>(workers_.size())});
   }
 
   // Revocation eviction sweep: a member whose fresh CRL entry became
@@ -1000,12 +953,9 @@ void VehicularCloud::refresh() {
       crashed_.erase(vid);
       crash_time_.erase(vid);
       admission_->note_evicted(v, now);
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kCloud,
-                       "cloud.member.revoked",
-                       {{"worker", static_cast<double>(vid)},
-                        {"members", static_cast<double>(workers_.size())}});
-      }
+      obs::record(rec_, obs::ev::kCloudMemberRevoked, now,
+                  {"worker", static_cast<double>(vid)},
+                  {"members", static_cast<double>(workers_.size())});
       if (!admission_->config().test_drop_revoked_requeue) {
         handle_worker_loss(v, state);
       }
@@ -1021,11 +971,9 @@ void VehicularCloud::refresh() {
   broker_.elect(views());
   if (prev_broker.valid() && broker_.current() != prev_broker) {
     ++stats_.broker_resyncs;
-    if (trace_ != nullptr) {
-      trace_->record(now, obs::TraceCategory::kCloud, "cloud.broker.change",
-                     {{"from", static_cast<double>(prev_broker.value())},
-                      {"to", static_cast<double>(broker_.current().value())}});
-    }
+    obs::record(rec_, obs::ev::kCloudBrokerChange, now,
+                {"from", static_cast<double>(prev_broker.value())},
+                {"to", static_cast<double>(broker_.current().value())});
     detector_.reset_all(now);
     const SimTime delay = config_.dependability.broker_resync_delay;
     if (delay > 0.0) {
@@ -1045,16 +993,8 @@ void VehicularCloud::refresh() {
         now > task_it->second.deadline) {
       task_it->second.state = TaskState::kExpired;
       ++stats_.expired;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                       task_it->second.trace,
-                       {{"task", static_cast<double>(task_it->first)}});
-      }
+      record_expire(task_it->second, VehicleId{}, now);  // queued: no worker
       trace_task_end(task_it->second, obs::kOutcomeExpired);
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kTask, "task.expire",
-                        task_it->first);
-      }
       abort_replica(task_it->second.id);
       if (oracle_ != nullptr) oracle_->on_terminal(task_it->second, now);
       if (terminal_hook_) reaped.push_back(task_it->second.id);
@@ -1080,16 +1020,8 @@ void VehicularCloud::refresh() {
       }
       task.state = TaskState::kExpired;
       ++stats_.expired;
-      if (trace_ != nullptr) {
-        trace_->record(now, obs::TraceCategory::kTask, "task.expire",
-                       task.trace,
-                       {{"task", static_cast<double>(tid)}});
-      }
+      record_expire(task, task.worker, now);
       trace_task_end(task, obs::kOutcomeExpired);
-      if (flight_ != nullptr) {
-        flight_->record(now, obs::FlightCategory::kTask, "task.expire", tid,
-                        task.worker.valid() ? task.worker.value() : 0);
-      }
       if (oracle_ != nullptr) oracle_->on_terminal(task, now);
       if (terminal_hook_) reaped.push_back(task.id);
     }
@@ -1128,12 +1060,10 @@ bool VehicularCloud::offer_join(VehicleId v, bool fabricated) {
                       : profile_for(mobility::AutomationLevel::kNoAutomation),
                   TaskId{}});
   detector_.track(v, now);
-  if (trace_ != nullptr) {
-    trace_->record(now, obs::TraceCategory::kCloud, "cloud.member.join",
-                   {{"worker", static_cast<double>(v.value())},
-                    {"claimed", 1.0},
-                    {"members", static_cast<double>(workers_.size())}});
-  }
+  obs::record(rec_, obs::ev::kCloudMemberJoin, now,
+              {"worker", static_cast<double>(v.value())},
+              {"claimed", 1.0},
+              {"members", static_cast<double>(workers_.size())});
   return true;
 }
 

@@ -29,9 +29,8 @@
 #include <unordered_set>
 
 #include "net/network.h"
-#include "obs/flight_recorder.h"
+#include "obs/recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/quantile_sketch.h"
 #include "util/stats.h"
 #include "vcloud/broker.h"
@@ -171,21 +170,17 @@ class VehicularCloud {
     terminal_hook_ = std::move(hook);
   }
 
-  // --- telemetry (off by default: null recorder = one branch per event) -------
-  // Emits cloud.* / task.* trace events (membership churn, broker changes,
-  // dispatch/complete/retry, failure-detector kills).
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  // --- recording (null recorder = one branch per event) ----------------------
+  // Emits cloud.* / task.* / detector.* events (membership churn, broker
+  // changes, dispatch/complete/retry, failure-detector evictions). Task
+  // terminals and evictions land in the always-on flight ring (DESIGN.md
+  // §12); the rest, and the task spans, only when tracing is on.
+  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
   // Registers cloud.* gauges (member count, queue depth, completion,
   // detection latency) and the tail sketches (task e2e, queue delay,
   // heartbeat RTT) with the sampler; also arms the per-beat heartbeat-RTT
   // sampling, which stays off until metrics are registered.
   void register_metrics(obs::MetricsRegistry& metrics);
-
-  // --- flight recorder (always-on forensics, DESIGN.md §12) ------------------
-  // Unlike set_trace this is wired unconditionally by the system facade:
-  // the recorder is fixed-memory and RNG-neutral, so it stays on even when
-  // telemetry is off. Null (bare unit-test clouds) = one branch per event.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
   // --- invariant oracle (off by default: null oracle = one branch per hook) --
   // When set, the oracle's full scan runs at the end of every refresh() and
@@ -308,20 +303,21 @@ class VehicularCloud {
 
   // --- causal span tracing (all no-ops when tracing is off) ------------------
   // Allocates the task's trace id, opens its root span and the first queue
-  // leg. The cloud keeps exactly one `leg.*` span open per live task;
+  // leg. The cloud keeps exactly one `task.leg.*` span open per live task;
   // open_leg closes the previous leg at the same instant, so the legs
   // partition [submit, terminal] and vcl_traceview's breakdown sums to the
   // end-to-end latency by construction.
   void trace_task_start(Task& task);
-  void trace_open_leg(
-      Task& task, const char* name,
-      std::initializer_list<obs::TraceRecorder::Field> fields = {});
-  void trace_close_leg(
-      Task& task,
-      std::initializer_list<obs::TraceRecorder::Field> fields = {});
+  void trace_open_leg(Task& task, const obs::EventKind& leg,
+                      std::initializer_list<obs::Field> fields = {});
+  void trace_close_leg(Task& task,
+                       std::initializer_list<obs::Field> fields = {});
   // Closes the open leg and the root span with an outcome code
   // (obs::kOutcomeCompleted / kOutcomeExpired / kOutcomeFailed).
   void trace_task_end(Task& task, double outcome);
+  // task.expire, shared by the three deadline paths (`worker` invalid for
+  // a task that expired queued).
+  void record_expire(const Task& task, VehicleId worker, SimTime now);
 
   CloudId id_;
   net::Network& net_;
@@ -340,8 +336,7 @@ class VehicularCloud {
   std::uint64_t next_task_id_ = 1;
   std::uint64_t next_replica_epoch_ = 1;
   CloudStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Recorder* rec_ = nullptr;
   // Armed by register_metrics(): per-beat RTT sampling costs a density
   // lookup, so undisturbed runs never pay it (telemetry inertness).
   bool heartbeat_rtt_enabled_ = false;

@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/event.h"
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -53,11 +53,11 @@ struct Task {
 
   // Causal tracing (DESIGN.md §8): stamped at submission when tracing is
   // on, zero otherwise. `trace` holds {trace_id, root span id}; the cloud
-  // keeps exactly one `leg.*` child span open at any time so the legs
+  // keeps exactly one `task.leg.*` child span open at any time so the legs
   // partition the task's lifetime (queue / dispatch / exec / recover / ...).
   obs::TraceContext trace;
-  std::uint64_t open_leg = 0;        // span id of the open leg (0 = none)
-  const char* open_leg_name = "";    // its name (string literal)
+  std::uint64_t open_leg = 0;  // span id of the open leg (0 = none)
+  const obs::EventKind* open_leg_kind = nullptr;
 
   [[nodiscard]] double remaining() const { return work - progress; }
   [[nodiscard]] bool terminal() const {

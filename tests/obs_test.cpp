@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/system.h"
 #include "obs/bench_output.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -63,12 +67,64 @@ TEST(JsonWriter, ValueAutoDistinguishesNumbersFromStrings) {
   EXPECT_EQ(os.str(), R"([3.25,-17,1000,"12ab","","kinematic"])");
 }
 
+// ---- Recorder ---------------------------------------------------------------
+
+TEST(Recorder, OneCallLandsInBothSinksWithTheSameNameAndFields) {
+  TraceRecorder trace(16);
+  Recorder rec;
+  rec.set_trace(&trace);
+  record(&rec, ev::kTaskComplete, 2.0, TraceContext{5, 9}, {"task", 1.0},
+         {"worker", 2.0}, {"latency", 0.5});
+
+  const std::vector<FlightEvent> tail = rec.flight().tail();
+  const std::vector<TraceRecorder::Event> evs = trace.events();
+  ASSERT_EQ(tail.size(), 1u);
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_STREQ(tail[0].kind->name, "task.complete");
+  EXPECT_STREQ(evs[0].name, "task.complete");
+  EXPECT_EQ(evs[0].cat, Category::kTask);
+  ASSERT_EQ(tail[0].n_fields, evs[0].n_fields);
+  for (std::uint8_t i = 0; i < evs[0].n_fields; ++i) {
+    EXPECT_STREQ(tail[0].fields[i].key, evs[0].fields[i].key);
+    EXPECT_DOUBLE_EQ(tail[0].fields[i].value, evs[0].fields[i].value);
+  }
+  // The causal context rides to the trace sink only.
+  EXPECT_EQ(evs[0].trace_id, 5u);
+  EXPECT_EQ(evs[0].parent_id, 9u);
+}
+
+TEST(Recorder, TraceOnlyKindsNeedAnUnmaskedTraceSink) {
+  Recorder rec;
+  EXPECT_TRUE(rec.on(ev::kTaskComplete));  // ring kinds: always
+  EXPECT_FALSE(rec.on(ev::kNetTx));
+  record(&rec, ev::kNetTx, 1.0, {"bytes", 10.0});
+  EXPECT_EQ(rec.flight().recorded(), 0u);
+
+  TraceRecorder trace(16, category_bit(Category::kTask));
+  rec.set_trace(&trace);
+  EXPECT_FALSE(rec.on(ev::kNetTx));  // masked category
+  EXPECT_TRUE(rec.on(ev::kTaskSubmit));
+  record(&rec, ev::kNetTx, 1.0, {"bytes", 10.0});
+  record(&rec, ev::kTaskSubmit, 1.0, {"task", 1.0});
+  EXPECT_EQ(trace.recorded(), 1u);
+  EXPECT_EQ(rec.flight().recorded(), 0u);  // trace-only kind
+
+  record(nullptr, ev::kTaskComplete, 1.0);  // null recorder: inert
+}
+
+TEST(Recorder, VocabularyNamesAreUnique) {
+  std::vector<std::string> names;
+  for (const EventKind* k : kVocabulary) names.emplace_back(k->name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
 // ---- TraceRecorder ----------------------------------------------------------
 
 TEST(TraceRecorder, RecordsEventsInOrder) {
   TraceRecorder rec(16);
-  rec.record(1.0, TraceCategory::kNet, "net.tx", {{"bytes", 100.0}});
-  rec.record(2.0, TraceCategory::kTask, "task.submit",
+  rec.record(1.0, Category::kNet, "net.tx", {{"bytes", 100.0}});
+  rec.record(2.0, Category::kTask, "task.submit",
              {{"task", 1.0}, {"work", 20.0}});
   ASSERT_EQ(rec.size(), 2u);
   const auto evs = rec.events();
@@ -77,16 +133,16 @@ TEST(TraceRecorder, RecordsEventsInOrder) {
   EXPECT_EQ(evs[0].n_fields, 1);
   EXPECT_STREQ(evs[0].fields[0].key, "bytes");
   EXPECT_DOUBLE_EQ(evs[0].fields[0].value, 100.0);
-  EXPECT_EQ(evs[1].cat, TraceCategory::kTask);
+  EXPECT_EQ(evs[1].cat, Category::kTask);
   EXPECT_EQ(evs[1].n_fields, 2);
 }
 
 TEST(TraceRecorder, MaskFiltersCategories) {
-  TraceRecorder rec(16, category_bit(TraceCategory::kFault));
-  EXPECT_FALSE(rec.enabled(TraceCategory::kNet));
-  EXPECT_TRUE(rec.enabled(TraceCategory::kFault));
-  rec.record(1.0, TraceCategory::kNet, "net.tx");
-  rec.record(2.0, TraceCategory::kFault, "fault.crash");
+  TraceRecorder rec(16, category_bit(Category::kFault));
+  EXPECT_FALSE(rec.enabled(Category::kNet));
+  EXPECT_TRUE(rec.enabled(Category::kFault));
+  rec.record(1.0, Category::kNet, "net.tx");
+  rec.record(2.0, Category::kFault, "fault.crash");
   ASSERT_EQ(rec.size(), 1u);
   EXPECT_STREQ(rec.events()[0].name, "fault.crash");
   EXPECT_EQ(rec.recorded(), 1u);  // masked events never count as recorded
@@ -95,7 +151,7 @@ TEST(TraceRecorder, MaskFiltersCategories) {
 TEST(TraceRecorder, RingOverwritesOldestAndCountsLoss) {
   TraceRecorder rec(4);
   for (int i = 0; i < 10; ++i) {
-    rec.record(i, TraceCategory::kSim, "tick", {{"i", double(i)}});
+    rec.record(i, Category::kSim, "tick", {{"i", double(i)}});
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.recorded(), 10u);
@@ -109,13 +165,13 @@ TEST(TraceRecorder, RingOverwritesOldestAndCountsLoss) {
 
 TEST(TraceRecorder, ExtraFieldsBeyondMaxAreDropped) {
   TraceRecorder rec(4);
-  rec.record(0.0, TraceCategory::kSim, "big",
+  rec.record(0.0, Category::kSim, "big",
              {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}});
-  EXPECT_EQ(rec.events()[0].n_fields, TraceRecorder::kMaxFields);
+  EXPECT_EQ(rec.events()[0].n_fields, kMaxFields);
   // The overflow is counted, not silently lost, and surfaces in the JSONL
   // metadata record alongside the ring accounting.
   EXPECT_EQ(rec.dropped_fields(), 1u);
-  rec.record(0.5, TraceCategory::kSim, "bigger",
+  rec.record(0.5, Category::kSim, "bigger",
              {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}, {"f", 6}});
   EXPECT_EQ(rec.dropped_fields(), 3u);
   std::ostringstream os;
@@ -125,8 +181,8 @@ TEST(TraceRecorder, ExtraFieldsBeyondMaxAreDropped) {
 
 TEST(TraceRecorder, JsonlOneObjectPerLine) {
   TraceRecorder rec(8);
-  rec.record(1.5, TraceCategory::kTask, "task.submit", {{"task", 1.0}});
-  rec.record(2.0, TraceCategory::kNet, "net.drop");
+  rec.record(1.5, Category::kTask, "task.submit", {{"task", 1.0}});
+  rec.record(2.0, Category::kNet, "net.drop");
   std::ostringstream os;
   rec.write_jsonl(os);
   EXPECT_EQ(os.str(),
@@ -138,7 +194,7 @@ TEST(TraceRecorder, JsonlOneObjectPerLine) {
 
 TEST(TraceRecorder, ChromeTraceShape) {
   TraceRecorder rec(8);
-  rec.record(1.5, TraceCategory::kFault, "fault.crash", {{"vehicle", 3.0}});
+  rec.record(1.5, Category::kFault, "fault.crash", {{"vehicle", 3.0}});
   std::ostringstream os;
   rec.write_chrome_trace(os);
   const std::string doc = os.str();
@@ -155,7 +211,7 @@ TEST(TraceRecorder, ChromeTraceShape) {
 
 TEST(TraceRecorder, ClearResets) {
   TraceRecorder rec(4);
-  rec.record(1.0, TraceCategory::kSim, "x");
+  rec.record(1.0, Category::kSim, "x");
   rec.clear();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.recorded(), 0u);
@@ -168,17 +224,17 @@ TEST(TraceSpans, BeginEndCarryCausalIds) {
   TraceRecorder rec(16);
   const std::uint64_t trace = rec.new_trace_id();
   const std::uint64_t root = rec.begin_span(
-      1.0, TraceCategory::kTask, "task.life", TraceContext{trace, 0},
+      1.0, Category::kTask, "task.life", TraceContext{trace, 0},
       {{"task", 7.0}});
   ASSERT_NE(root, 0u);
-  const std::uint64_t leg = rec.begin_span(1.0, TraceCategory::kTask,
-                                           "leg.queue",
+  const std::uint64_t leg = rec.begin_span(1.0, Category::kTask,
+                                           "task.leg.queue",
                                            TraceContext{trace, root});
   ASSERT_NE(leg, 0u);
   EXPECT_NE(leg, root);  // span ids are unique within the recorder
-  rec.end_span(3.0, TraceCategory::kTask, "leg.queue",
+  rec.end_span(3.0, Category::kTask, "task.leg.queue",
                TraceContext{trace, leg});
-  rec.end_span(4.0, TraceCategory::kTask, "task.life",
+  rec.end_span(4.0, Category::kTask, "task.life",
                TraceContext{trace, root}, {{"outcome", kOutcomeCompleted}});
 
   const auto evs = rec.events();
@@ -198,11 +254,11 @@ TEST(TraceSpans, BeginEndCarryCausalIds) {
 }
 
 TEST(TraceSpans, MaskedCategoryYieldsZeroIdAndEndOfZeroIsNoOp) {
-  TraceRecorder rec(16, category_bit(TraceCategory::kNet));
+  TraceRecorder rec(16, category_bit(Category::kNet));
   const std::uint64_t id = rec.begin_span(
-      1.0, TraceCategory::kTask, "task.life", TraceContext{1, 0});
+      1.0, Category::kTask, "task.life", TraceContext{1, 0});
   EXPECT_EQ(id, 0u);
-  rec.end_span(2.0, TraceCategory::kTask, "task.life", TraceContext{1, id});
+  rec.end_span(2.0, Category::kTask, "task.life", TraceContext{1, id});
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.recorded(), 0u);
 }
@@ -211,11 +267,11 @@ TEST(TraceSpans, JsonlCarriesPhaseAndIdKeys) {
   TraceRecorder rec(8);
   const std::uint64_t trace = rec.new_trace_id();
   const std::uint64_t root = rec.begin_span(
-      0.5, TraceCategory::kTask, "task.life", TraceContext{trace, 0});
-  const std::uint64_t leg = rec.begin_span(0.5, TraceCategory::kTask,
-                                           "leg.queue",
+      0.5, Category::kTask, "task.life", TraceContext{trace, 0});
+  const std::uint64_t leg = rec.begin_span(0.5, Category::kTask,
+                                           "task.leg.queue",
                                            TraceContext{trace, root});
-  rec.end_span(2.0, TraceCategory::kTask, "leg.queue",
+  rec.end_span(2.0, Category::kTask, "task.leg.queue",
                TraceContext{trace, leg});
   std::ostringstream os;
   rec.write_jsonl(os);
@@ -230,7 +286,7 @@ TEST(TraceSpans, JsonlCarriesPhaseAndIdKeys) {
   // Context-free instants stay byte-identical to the pre-span format: no
   // ph/trace/span/parent keys appear on them.
   rec.clear();
-  rec.record(1.0, TraceCategory::kNet, "net.drop");
+  rec.record(1.0, Category::kNet, "net.drop");
   std::ostringstream plain;
   rec.write_jsonl(plain);
   EXPECT_NE(plain.str().find("{\"t\":1,\"cat\":\"net\",\"name\":"
@@ -242,8 +298,8 @@ TEST(TraceSpans, ChromeTraceFoldsMatchedPairsIntoCompleteSlices) {
   TraceRecorder rec(8);
   const std::uint64_t trace = rec.new_trace_id();
   const std::uint64_t root = rec.begin_span(
-      1.0, TraceCategory::kTask, "task.life", TraceContext{trace, 0});
-  rec.end_span(3.0, TraceCategory::kTask, "task.life",
+      1.0, Category::kTask, "task.life", TraceContext{trace, 0});
+  rec.end_span(3.0, Category::kTask, "task.life",
                TraceContext{trace, root});
   std::ostringstream os;
   rec.write_chrome_trace(os);
@@ -261,22 +317,22 @@ TEST(TraceAnalysis, BreakdownLegsSumToEndToEnd) {
   TraceRecorder rec(64);
   const std::uint64_t trace = rec.new_trace_id();
   TraceContext root_ctx{trace, 0};
-  root_ctx.span_id = rec.begin_span(0.0, TraceCategory::kTask, "task.life",
+  root_ctx.span_id = rec.begin_span(0.0, Category::kTask, "task.life",
                                     root_ctx, {{"task", 42.0}});
   // Legs partition [0, 10]: queue [0,2], dispatch [2,3], exec [3,10] with
   // 1 s of input transfer that the analyzer re-attributes to the network.
   std::uint64_t leg =
-      rec.begin_span(0.0, TraceCategory::kTask, "leg.queue", root_ctx);
-  rec.end_span(2.0, TraceCategory::kTask, "leg.queue",
+      rec.begin_span(0.0, Category::kTask, "task.leg.queue", root_ctx);
+  rec.end_span(2.0, Category::kTask, "task.leg.queue",
                TraceContext{trace, leg});
-  leg = rec.begin_span(2.0, TraceCategory::kTask, "leg.dispatch", root_ctx);
-  rec.end_span(3.0, TraceCategory::kTask, "leg.dispatch",
+  leg = rec.begin_span(2.0, Category::kTask, "task.leg.dispatch", root_ctx);
+  rec.end_span(3.0, Category::kTask, "task.leg.dispatch",
                TraceContext{trace, leg});
-  leg = rec.begin_span(3.0, TraceCategory::kTask, "leg.exec", root_ctx,
+  leg = rec.begin_span(3.0, Category::kTask, "task.leg.exec", root_ctx,
                        {{"input_s", 1.0}});
-  rec.end_span(10.0, TraceCategory::kTask, "leg.exec",
+  rec.end_span(10.0, Category::kTask, "task.leg.exec",
                TraceContext{trace, leg});
-  rec.end_span(10.0, TraceCategory::kTask, "task.life", root_ctx,
+  rec.end_span(10.0, Category::kTask, "task.life", root_ctx,
                {{"outcome", kOutcomeCompleted}});
 
   std::stringstream ss;
@@ -304,13 +360,44 @@ TEST(TraceAnalysis, BreakdownLegsSumToEndToEnd) {
   EXPECT_EQ(analysis.unmatched_ends(), 0u);
 }
 
+// Missing or wrongly typed keys are malformed input, reported with the
+// line they sit on — a string "t" must never read as time zero.
+TEST(TraceAnalysis, ParserRejectsMistypedAndMissingKeysByLine) {
+  std::vector<ParsedEvent> events;
+  TraceMeta meta;
+  std::string error;
+  std::stringstream bad_time(R"({"t":"oops","ph":"E","span":"x"})" "\n");
+  EXPECT_FALSE(parse_trace_jsonl(bad_time, events, meta, &error));
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("'t'"), std::string::npos) << error;
+
+  std::stringstream no_name(R"({"t":1,"cat":"net","name":"net.tx"})" "\n"
+                            R"({"t":2,"cat":"net"})" "\n");
+  EXPECT_FALSE(parse_trace_jsonl(no_name, events, meta, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("'name'"), std::string::npos) << error;
+
+  std::stringstream end_without_span(
+      R"({"t":1,"cat":"task","name":"task.life","ph":"E","trace":1})" "\n");
+  EXPECT_FALSE(parse_trace_jsonl(end_without_span, events, meta, &error));
+  EXPECT_NE(error.find("'span'"), std::string::npos) << error;
+
+  // Non-finite numbers export as null and stay tolerated.
+  std::stringstream null_field(
+      R"({"t":1,"cat":"net","name":"net.rx","delay":null})" "\n");
+  events.clear();
+  EXPECT_TRUE(parse_trace_jsonl(null_field, events, meta, &error)) << error;
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(events[0].fields.empty());
+}
+
 TEST(TraceAnalysis, OrphanedSpansAreDiagnosedNotInvented) {
   TraceRecorder rec(64);
   const std::uint64_t trace = rec.new_trace_id();
   TraceContext root_ctx{trace, 0};
   root_ctx.span_id =
-      rec.begin_span(1.0, TraceCategory::kTask, "task.life", root_ctx);
-  rec.begin_span(1.0, TraceCategory::kTask, "leg.queue", root_ctx);
+      rec.begin_span(1.0, Category::kTask, "task.life", root_ctx);
+  rec.begin_span(1.0, Category::kTask, "task.leg.queue", root_ctx);
   // Run ends here: neither span is ever closed.
   std::stringstream ss;
   rec.write_jsonl(ss);
@@ -330,17 +417,17 @@ TEST(TraceAnalysis, FaultWindowAnnotationsMergeAndSplitTaskTime) {
   TraceRecorder rec(64);
   // Two overlapping storm windows [2,5] + [4,8] (merge to [2,8]) and a
   // disjoint one [20,22], stamped the way fault::FaultInjector does.
-  rec.record(2.0, TraceCategory::kFault, "fault.window",
+  rec.record(2.0, Category::kFault, "fault.window",
              {{"start", 2.0}, {"end", 5.0}, {"radius", 100.0}});
-  rec.record(4.0, TraceCategory::kFault, "fault.window",
+  rec.record(4.0, Category::kFault, "fault.window",
              {{"start", 4.0}, {"end", 8.0}, {"radius", 100.0}});
-  rec.record(20.0, TraceCategory::kFault, "fault.window",
+  rec.record(20.0, Category::kFault, "fault.window",
              {{"start", 20.0}, {"end", 22.0}, {"radius", 100.0}});
   const std::uint64_t trace = rec.new_trace_id();
   TraceContext root_ctx{trace, 0};
-  root_ctx.span_id = rec.begin_span(0.0, TraceCategory::kTask, "task.life",
+  root_ctx.span_id = rec.begin_span(0.0, Category::kTask, "task.life",
                                     root_ctx, {{"task", 1.0}});
-  rec.end_span(10.0, TraceCategory::kTask, "task.life", root_ctx,
+  rec.end_span(10.0, Category::kTask, "task.life", root_ctx,
                {{"outcome", kOutcomeCompleted}});
 
   std::stringstream ss;
@@ -368,34 +455,34 @@ TEST(TraceAnalysis, FaultWindowAnnotationsMergeAndSplitTaskTime) {
 
 TEST(TraceAnalysis, StorageRootsGetTheirOwnBreakdown) {
   TraceRecorder rec(64);
-  rec.record(1.0, TraceCategory::kFault, "fault.window",
+  rec.record(1.0, Category::kFault, "fault.window",
              {{"start", 1.0}, {"end", 2.0}, {"radius", 50.0}});
   // A storage.put whose two attempt legs partition [1.0, 1.5] exactly,
   // writing to holders 7 and 3.
   const std::uint64_t trace = rec.new_trace_id();
   TraceContext op{trace, 0};
-  op.span_id = rec.begin_span(1.0, TraceCategory::kStorage, "storage.put", op,
+  op.span_id = rec.begin_span(1.0, Category::kStorage, "storage.put", op,
                               {{"object", 4.0}, {"version", 2.0}});
   TraceContext leg{trace, op.span_id};
   leg.span_id =
-      rec.begin_span(1.0, TraceCategory::kStorage, "storage.leg.attempt", op,
+      rec.begin_span(1.0, Category::kStorage, "storage.leg.attempt", op,
                      {{"attempt", 1.0}});
-  rec.record(1.0, TraceCategory::kStorage, "storage.replica.write", leg,
+  rec.record(1.0, Category::kStorage, "storage.replica.write", leg,
              {{"holder", 7.0}, {"version", 2.0}});
-  rec.end_span(1.2, TraceCategory::kStorage, "storage.leg.attempt", leg);
+  rec.end_span(1.2, Category::kStorage, "storage.leg.attempt", leg);
   leg.span_id =
-      rec.begin_span(1.2, TraceCategory::kStorage, "storage.leg.attempt", op,
+      rec.begin_span(1.2, Category::kStorage, "storage.leg.attempt", op,
                      {{"attempt", 2.0}});
-  rec.record(1.2, TraceCategory::kStorage, "storage.replica.write", leg,
+  rec.record(1.2, Category::kStorage, "storage.replica.write", leg,
              {{"holder", 3.0}, {"version", 2.0}});
-  rec.end_span(1.5, TraceCategory::kStorage, "storage.leg.attempt", leg);
-  rec.end_span(1.5, TraceCategory::kStorage, "storage.put", op,
+  rec.end_span(1.5, Category::kStorage, "storage.leg.attempt", leg);
+  rec.end_span(1.5, Category::kStorage, "storage.put", op,
                {{"acked", 1.0}, {"replicas", 2.0}});
   // A root the analyzer has never heard of: skipped and counted, not fatal.
   TraceContext weird{rec.new_trace_id(), 0};
   weird.span_id =
-      rec.begin_span(3.0, TraceCategory::kTask, "weird.root", weird);
-  rec.end_span(4.0, TraceCategory::kTask, "weird.root", weird);
+      rec.begin_span(3.0, Category::kTask, "weird.root", weird);
+  rec.end_span(4.0, Category::kTask, "weird.root", weird);
 
   std::stringstream ss;
   rec.write_jsonl(ss);
@@ -664,7 +751,7 @@ TEST(SystemTelemetry, FullRunProducesTraceMetricsAndProfile) {
   std::size_t net_events = 0;
   for (const auto& ev : evs) {
     if (std::string(ev.name) == "task.submit") ++submits;
-    if (ev.cat == TraceCategory::kNet) ++net_events;
+    if (ev.cat == Category::kNet) ++net_events;
   }
   EXPECT_EQ(submits, 10u);
   EXPECT_GT(net_events, 0u);
@@ -697,7 +784,7 @@ TEST(SystemTelemetry, TraceCategoryMaskRespected) {
   core::SystemConfig config = telemetry_config();
   config.telemetry.profile_kernel = false;
   config.telemetry.metrics = false;
-  config.telemetry.trace_categories = category_bit(TraceCategory::kTask);
+  config.telemetry.trace_categories = category_bit(Category::kTask);
   core::VehicularCloudSystem system(config);
   system.start();
   vcloud::WorkloadConfig workload;
@@ -705,7 +792,41 @@ TEST(SystemTelemetry, TraceCategoryMaskRespected) {
   system.run_for(10.0);
   const auto evs = system.telemetry()->trace.events();
   ASSERT_FALSE(evs.empty());
-  for (const auto& ev : evs) EXPECT_EQ(ev.cat, TraceCategory::kTask);
+  for (const auto& ev : evs) EXPECT_EQ(ev.cat, Category::kTask);
+}
+
+// One vocabulary: an event's category is its name prefix, so a category
+// mask selects exactly the names it appears to. Checked on everything a
+// traced chaos episode with storage, DAG and adversary on records.
+TEST(SystemTelemetry, EveryRecordedEventIsFiledUnderItsNamePrefix) {
+  core::ChaosScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.vehicles = 20;
+  cfg.duration = 40.0;
+  cfg.drain = 20.0;
+  cfg.storage = true;
+  cfg.dag = true;
+  cfg.adversary = true;
+  const core::ChaosEpisode plain = core::run_chaos_episode(cfg);
+  const std::string dir = ::testing::TempDir() + "vcl_prefix_rule";
+  const core::ChaosEpisode traced =
+      core::run_chaos_episode(cfg, plain.plan, dir);
+  std::ifstream in(dir + "/trace.jsonl");
+  std::vector<ParsedEvent> events;
+  TraceMeta meta;
+  std::string error;
+  ASSERT_TRUE(parse_trace_jsonl(in, events, meta, &error)) << error;
+  ASSERT_FALSE(events.empty());
+  std::set<std::string> categories;
+  for (const ParsedEvent& e : events) {
+    EXPECT_EQ(e.name.rfind(e.cat + ".", 0), 0u)
+        << e.name << " recorded under " << e.cat;
+    categories.insert(e.cat);
+  }
+  for (const char* expected : {"net", "cloud", "task", "fault", "storage",
+                               "dag", "attack"}) {
+    EXPECT_EQ(categories.count(expected), 1u) << expected;
+  }
 }
 
 TEST(SystemTelemetry, TelemetryOffMatchesSeedDeterminism) {
@@ -822,7 +943,7 @@ TEST(SystemTelemetry, CrashedTaskKeepsOneCausalTreeAcrossRecovery) {
   for (const auto& ev : system.telemetry()->trace.events()) {
     if (ev.trace_id != trace_id) continue;
     ++in_tree;
-    if (std::string(ev.name) == "leg.recover") saw_recover = true;
+    if (std::string(ev.name) == "task.leg.recover") saw_recover = true;
   }
   EXPECT_GE(in_tree, 10u);
   EXPECT_TRUE(saw_recover);
@@ -835,7 +956,7 @@ TEST(Telemetry, WriteTelemetryCreatesTheExportTree) {
   cfg.tracing = true;
   cfg.metrics = true;
   Telemetry tel(cfg);
-  tel.trace.record(1.0, TraceCategory::kTask, "task.submit");
+  tel.trace.record(1.0, Category::kTask, "task.submit");
   tel.metrics.counter("x.count").inc();
   tel.metrics.sample(0.0);
 
@@ -860,27 +981,27 @@ TEST(RunHealth, MergesArtifactsAndAttributesStormLatency) {
   cfg.metrics = true;
   Telemetry tel(cfg);
   // One fault window [1,2]; a put fully inside it, a get in clear sky.
-  tel.trace.record(1.0, TraceCategory::kFault, "fault.window",
+  tel.trace.record(1.0, Category::kFault, "fault.window",
                    {{"start", 1.0}, {"end", 2.0}, {"radius", 9.0}});
   {
     TraceContext op{tel.trace.new_trace_id(), 0};
-    op.span_id = tel.trace.begin_span(1.0, TraceCategory::kStorage,
+    op.span_id = tel.trace.begin_span(1.0, Category::kStorage,
                                       "storage.put", op, {{"object", 1.0}});
-    tel.trace.end_span(1.5, TraceCategory::kStorage, "storage.put", op,
+    tel.trace.end_span(1.5, Category::kStorage, "storage.put", op,
                        {{"acked", 1.0}});
   }
   {
     TraceContext op{tel.trace.new_trace_id(), 0};
-    op.span_id = tel.trace.begin_span(5.0, TraceCategory::kStorage,
+    op.span_id = tel.trace.begin_span(5.0, Category::kStorage,
                                       "storage.get", op, {{"object", 1.0}});
-    tel.trace.end_span(5.25, TraceCategory::kStorage, "storage.get", op,
+    tel.trace.end_span(5.25, Category::kStorage, "storage.get", op,
                        {{"ok", 1.0}});
   }
   {
     TraceContext task{tel.trace.new_trace_id(), 0};
-    task.span_id = tel.trace.begin_span(0.0, TraceCategory::kTask,
+    task.span_id = tel.trace.begin_span(0.0, Category::kTask,
                                         "task.life", task, {{"task", 1.0}});
-    tel.trace.end_span(4.0, TraceCategory::kTask, "task.life", task,
+    tel.trace.end_span(4.0, Category::kTask, "task.life", task,
                        {{"outcome", kOutcomeCompleted}});
   }
   tel.metrics.counter("x.count").inc();

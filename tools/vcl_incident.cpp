@@ -1,4 +1,4 @@
-// vcl_incident: renders a vcl-incident-v1 forensic bundle as a sim-time
+// vcl_incident: renders a vcl-incident-v2 forensic bundle as a sim-time
 // causal timeline (DESIGN.md §12).
 //
 // A bundle is what core::chaos snapshots at the instant the invariant
@@ -16,6 +16,7 @@
 // trace.jsonl written next to the bundle: feed it to vcl_traceview for the
 // span tree, or vcl_report for run health.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -33,7 +34,7 @@ using vcl::obs::IncidentBundle;
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [--json] <incident.jsonl | ->\n"
-      << "  Renders a vcl-incident-v1 bundle (written by vcl_chaos next to\n"
+      << "  Renders a vcl-incident-v2 bundle (written by vcl_chaos next to\n"
       << "  the shrunk repro) as a sim-time causal timeline: injected\n"
       << "  faults, detector evictions, lease/quorum/DAG transitions, then\n"
       << "  the invariant violations they led to.\n"
@@ -63,60 +64,23 @@ std::string fmt_time(double t) {
   return buf;
 }
 
+// Whole numbers (ids) print in full; others keep six significant digits.
 std::string fmt_num(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  const bool whole = v == std::floor(v) && std::fabs(v) < 1e15;
+  std::snprintf(buf, sizeof(buf), whole ? "%.0f" : "%g", v);
   return buf;
 }
 
-// Name-aware rendering of a flight event's (a, b, x) payload: the recorder
-// keeps them as two ids and a double, the meaning is per event name.
+// A flight event's named fields, in recording order: "task=7 worker=3
+// latency=2.5". The names come from the event vocabulary (obs/event.h),
+// so every event renders the same way with no per-name decoding.
 std::string flight_detail(const vcl::obs::IncidentFlightEvent& e) {
-  const std::string& n = e.name;
-  if (n == "task.complete") {
-    return "task " + std::to_string(e.a) + " on worker " +
-           std::to_string(e.b) + ", latency " + fmt_num(e.x) + " s";
+  std::string d;
+  for (const auto& [key, value] : e.fields) {
+    if (!d.empty()) d += ' ';
+    d += key + "=" + fmt_num(value);
   }
-  if (n == "task.expire") {
-    return "task " + std::to_string(e.a) +
-           (e.b != 0 ? " on worker " + std::to_string(e.b) : " (queued)");
-  }
-  if (n == "detector.evict") {
-    return "worker " + std::to_string(e.a) +
-           (e.b != 0 ? ", crashed " + fmt_num(e.x) + " s earlier"
-                     : " (false positive: worker was alive)");
-  }
-  if (n == "lease.expire") {
-    return "lease " + std::to_string(e.a) + " held by worker " +
-           std::to_string(e.b);
-  }
-  if (n == "quorum.write.failed" || n == "quorum.read.failed" ||
-      n == "quorum.read.degraded") {
-    return "object " + std::to_string(e.a) + ", client " +
-           std::to_string(e.b) + ", " + fmt_num(e.x) + " copies reached";
-  }
-  if (n == "dag.backup") {
-    return "graph " + std::to_string(e.a) + " node " + std::to_string(e.b) +
-           ": host predicted to leave, backup launched";
-  }
-  if (n == "dag.graph.fail") {
-    return "graph " + std::to_string(e.a) + ", " + std::to_string(e.b) +
-           " nodes had succeeded";
-  }
-  if (n == "fault.crash") return "vehicle " + std::to_string(e.a);
-  if (n == "fault.broker.crash") return "broker " + std::to_string(e.a);
-  if (n == "fault.rsu.outage") {
-    return "rsu " + std::to_string(e.a) + ", repair in " + fmt_num(e.x) +
-           " s";
-  }
-  if (n == "fault.rsu.repair") return "rsu " + std::to_string(e.a);
-  if (n == "fault.blackout.start") {
-    return "duration " + fmt_num(e.x) + " s";
-  }
-  if (n == "fault.blackout.end") return "window " + std::to_string(e.a);
-  // Unknown (newer recorder): raw payload, never fatal.
-  std::string d = "a=" + std::to_string(e.a) + " b=" + std::to_string(e.b);
-  if (e.x != 0.0) d += " x=" + fmt_num(e.x);
   return d;
 }
 
