@@ -28,6 +28,11 @@ only counts as a failure when something present in BOTH documents moved.
 `--skip-bench bench_crypto_micro` when the two summaries come from
 different machines, since its wall-clock cells are hardware-dependent.
 
+Each bench's "wall_s" scalar (host wall time of the whole bench) is
+listed in a closing informational section with its current/baseline
+ratio. It never changes the exit status: the host is shared and noisy,
+and the baseline was recorded elsewhere.
+
 A bench present in the baseline but absent from the current summary is an
 error, not a note: it usually means the bench was dropped from
 collect_bench.sh (or its binary failed to build) and the regression gate
@@ -107,6 +112,19 @@ def diff_cells(a, b, rel_tol):
     return f"values differ (|Δ| = {abs(a - b):.6g})"
 
 
+def wall_report(base, cur):
+    """Lines of the informational wall_s section (benches in both)."""
+    lines = []
+    for name in sorted(set(base) & set(cur)):
+        b = base[name].get("scalars", {}).get("wall_s")
+        c = cur[name].get("scalars", {}).get("wall_s")
+        if not isinstance(b, (int, float)) or not isinstance(c, (int, float)):
+            continue
+        ratio = f"{c / b:.2f}x" if b > 0 else "n/a"
+        lines.append(f"  {name:<32} {b:>10.3f} {c:>10.3f}   {ratio}")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Flag significant shifts between two bench summaries.")
@@ -160,6 +178,14 @@ def main():
 
     for note in notes:
         print(f"note: {note}")
+    walls = wall_report(base, cur)
+    if walls:
+        print("wall_s, informational (never affects the exit status):")
+        print(f"  {'bench':<32} {'baseline':>10} {'current':>10}   "
+              f"current/baseline")
+        for line in walls:
+            print(line)
+        print()
     if missing:
         for name in missing:
             print(f"error: bench {name}: present in baseline but missing "

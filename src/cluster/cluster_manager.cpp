@@ -40,14 +40,26 @@ std::vector<VehicleId> ClusterManager::members_of(VehicleId head) const {
 
 std::vector<std::pair<VehicleId, std::vector<VehicleId>>>
 ClusterManager::clusters() const {
+  // Group-by in O(N log N): each affiliated vehicle finds its head among
+  // the sorted heads by binary search. A vehicle whose head is not a head
+  // (pruned, or demoted to member) finds none and is dropped, so each
+  // cluster equals members_of() of its head.
   std::vector<std::pair<VehicleId, std::vector<VehicleId>>> out;
   for (const auto& [vid, a] : assignments_) {
-    if (a.role == ClusterRole::kHead) {
-      out.emplace_back(VehicleId{vid}, members_of(VehicleId{vid}));
-    }
+    if (a.role == ClusterRole::kHead) out.push_back({VehicleId{vid}, {}});
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [vid, a] : assignments_) {
+    if (a.role == ClusterRole::kFree) continue;
+    const auto it = std::lower_bound(
+        out.begin(), out.end(), a.head,
+        [](const auto& c, VehicleId head) { return c.first < head; });
+    if (it != out.end() && it->first == a.head) {
+      it->second.push_back(VehicleId{vid});
+    }
+  }
+  for (auto& [head, members] : out) std::sort(members.begin(), members.end());
   return out;
 }
 

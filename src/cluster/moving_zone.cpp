@@ -1,6 +1,6 @@
 #include "cluster/moving_zone.h"
 
-#include <algorithm>
+#include <numeric>
 
 namespace vcl::cluster {
 
@@ -17,59 +17,78 @@ void MovingZone::update() {
   prune_departed();
   const auto& vehicles = net_.traffic().vehicles();
 
+  // Dense indices in the vehicle map's iteration order; each zone lists its
+  // members in that order, so centroid sums do not depend on how the
+  // union-find happened to link roots.
+  std::vector<const mobility::VehicleState*> state;
+  std::unordered_map<std::uint64_t, std::size_t> index;
+  state.reserve(vehicles.size());
+  index.reserve(vehicles.size());
+  for (const auto& [vid, v] : vehicles) {
+    index.emplace(vid, state.size());
+    state.push_back(&v);
+  }
+
   // Union-find over the compatibility graph from neighbor tables.
-  std::unordered_map<std::uint64_t, std::uint64_t> parent;
-  std::function<std::uint64_t(std::uint64_t)> find =
-      [&](std::uint64_t x) -> std::uint64_t {
+  std::vector<std::size_t> parent(state.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&parent](std::size_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
     }
     return x;
   };
-  for (const auto& [vid, v] : vehicles) parent[vid] = vid;
-  for (const auto& [vid, v] : vehicles) {
-    for (const net::NeighborEntry& n : net_.neighbors(v.id)) {
-      if (parent.find(n.id.value()) == parent.end()) continue;
-      if (!compatible(v.vel, n.vel)) continue;
-      const std::uint64_t ra = find(vid);
-      const std::uint64_t rb = find(n.id.value());
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    for (const net::NeighborEntry& n : net_.neighbors(state[i]->id)) {
+      const auto it = index.find(n.id.value());
+      if (it == index.end()) continue;
+      if (!compatible(state[i]->vel, n.vel)) continue;
+      const std::size_t ra = find(i);
+      const std::size_t rb = find(it->second);
       if (ra != rb) parent[ra] = rb;
     }
   }
 
   // Gather zones.
-  std::unordered_map<std::uint64_t, std::vector<VehicleId>> zones;
-  for (const auto& [vid, v] : vehicles) {
-    zones[find(vid)].push_back(v.id);
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> zone_of_root(state.size(), kNone);
+  std::vector<std::vector<std::size_t>> zones;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    std::size_t& zone = zone_of_root[find(i)];
+    if (zone == kNone) {
+      zone = zones.size();
+      zones.emplace_back();
+    }
+    zones[zone].push_back(i);
   }
 
   // Elect captains: member nearest the zone centroid, with hysteresis for
   // the incumbent captain.
-  for (auto& [root, members] : zones) {
+  for (const std::vector<std::size_t>& members : zones) {
     geo::Vec2 centroid;
-    for (const VehicleId m : members) {
-      centroid += vehicles.at(m.value()).pos;
-    }
+    for (const std::size_t m : members) centroid += state[m]->pos;
     centroid = centroid / static_cast<double>(members.size());
 
     VehicleId captain;
     double best = 1e300;
-    for (const VehicleId m : members) {
-      double d = geo::distance(vehicles.at(m.value()).pos, centroid);
-      auto cur = assignments_.find(m.value());
+    for (const std::size_t m : members) {
+      const VehicleId id = state[m]->id;
+      double d = geo::distance(state[m]->pos, centroid);
+      auto cur = assignments_.find(id.value());
       if (cur != assignments_.end() &&
           cur->second.role == ClusterRole::kHead) {
         d -= config_.captain_hysteresis;
       }
-      if (d < best || (d == best && m.value() < captain.value())) {
+      if (d < best || (d == best && id.value() < captain.value())) {
         best = d;
-        captain = m;
+        captain = id;
       }
     }
-    for (const VehicleId m : members) {
-      assign(m, captain,
-             m == captain ? ClusterRole::kHead : ClusterRole::kMember);
+    for (const std::size_t m : members) {
+      const VehicleId id = state[m]->id;
+      assign(id, captain,
+             id == captain ? ClusterRole::kHead : ClusterRole::kMember);
     }
   }
 }

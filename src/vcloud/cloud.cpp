@@ -89,14 +89,18 @@ void VehicularCloud::attach() {
   }
 }
 
-double VehicularCloud::dwell_of(VehicleId v) {
-  const CloudRegion region = region_fn_();
+double VehicularCloud::dwell_in(const CloudRegion& region,
+                                VehicleId v) const {
   if (region.radius <= 0.0) return 0.0;
   return estimate_dwell(net_.traffic(), v, region.center, region.radius,
                         config_.dwell_mode);
 }
 
 std::vector<WorkerView> VehicularCloud::views() {
+  // One region evaluation per call: the region closure may itself walk the
+  // membership (a dynamic cloud's centroid of the largest cluster), and
+  // nothing moves between two workers of the same view.
+  const CloudRegion region = region_fn_();
   std::vector<WorkerView> out;
   out.reserve(workers_.size());
   for (const auto& [vid, w] : workers_) {
@@ -104,7 +108,7 @@ std::vector<WorkerView> VehicularCloud::views() {
     view.id = VehicleId{vid};
     view.profile = w.profile;
     view.busy = w.running.valid();
-    view.dwell_seconds = dwell_of(view.id);
+    view.dwell_seconds = dwell_in(region, view.id);
     out.push_back(view);
   }
   // Deterministic order (unordered_map iteration is not).
@@ -1156,11 +1160,14 @@ VehicularCloud::RegionFn rsu_region(const net::Network& net, RsuId rsu) {
 VehicularCloud::MembershipFn largest_cluster_membership(
     const cluster::ClusterManager& manager) {
   return [&manager] {
-    std::vector<VehicleId> best;
-    for (const auto& [head, members] : manager.clusters()) {
-      if (members.size() > best.size()) best = members;
+    // Strictly larger wins, so on a size tie the lowest head id (clusters()
+    // is sorted by head) keeps the cloud.
+    auto clusters = manager.clusters();
+    std::vector<VehicleId>* best = nullptr;
+    for (auto& [head, members] : clusters) {
+      if (best == nullptr || members.size() > best->size()) best = &members;
     }
-    return best;
+    return best == nullptr ? std::vector<VehicleId>{} : std::move(*best);
   };
 }
 

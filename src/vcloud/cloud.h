@@ -250,7 +250,9 @@ class VehicularCloud {
   // configured DwellMode: +inf for parked vehicles, 0 for departed or
   // despawned (crashed) ones. The DAG replication policy predicts host
   // departure with this.
-  [[nodiscard]] double worker_dwell(VehicleId v) { return dwell_of(v); }
+  [[nodiscard]] double worker_dwell(VehicleId v) const {
+    return dwell_in(region(), v);
+  }
 
   // True when every submitted task reached a terminal state.
   [[nodiscard]] bool drained() const;
@@ -299,7 +301,7 @@ class VehicularCloud {
                                                 const Task& task, SimTime now);
   [[nodiscard]] std::vector<WorkerView> views();
   [[nodiscard]] std::vector<std::uint64_t> sorted_worker_ids() const;
-  [[nodiscard]] double dwell_of(VehicleId v);
+  [[nodiscard]] double dwell_in(const CloudRegion& region, VehicleId v) const;
 
   // --- causal span tracing (all no-ops when tracing is off) ------------------
   // Allocates the task's trace id, opens its root span and the first queue

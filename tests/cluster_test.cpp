@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/fuzzy_clustering.h"
 #include "cluster/moving_zone.h"
 #include "cluster/passive_clustering.h"
@@ -248,6 +250,89 @@ TEST_F(ClusterFixture, MembersOfReturnsSortedMembers) {
   const auto members = mgr.members_of(head);
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
   EXPECT_EQ(members.size(), 3u);
+}
+
+
+// A manager whose assignment map the test writes directly, so clusters()
+// can be checked on shapes the protocols only reach by accident: free
+// vehicles, singleton heads, members whose head was pruned or demoted.
+class ScriptedManager final : public ClusterManager {
+ public:
+  using ClusterManager::ClusterManager;
+  [[nodiscard]] const char* name() const override { return "scripted"; }
+  void update() override {}
+  void set(std::uint64_t v, std::uint64_t head, ClusterRole role) {
+    assignments_[v] = ClusterAssignment{VehicleId{head}, role, 0.0};
+  }
+  void drop(std::uint64_t v) { assignments_.erase(v); }
+};
+
+// The per-head definition clusters() must reproduce: every head, sorted,
+// with members_of() of it.
+std::vector<std::pair<VehicleId, std::vector<VehicleId>>> per_head_clusters(
+    const ClusterManager& m) {
+  std::vector<std::pair<VehicleId, std::vector<VehicleId>>> out;
+  for (const auto& [vid, a] : m.assignments()) {
+    if (a.role == ClusterRole::kHead) {
+      out.emplace_back(VehicleId{vid}, m.members_of(VehicleId{vid}));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
+TEST_F(ClusterFixture, ClustersMatchesPerHeadDefinitionOnRandomMaps) {
+  std::size_t free_seen = 0, singletons_seen = 0, orphans_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    ScriptedManager mgr(net_);
+    std::vector<std::uint64_t> heads;
+    const std::int64_t n = rng.uniform_int(0, 80);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto v = static_cast<std::uint64_t>(rng.uniform_int(1, 400));
+      const double r = rng.uniform();
+      if (r < 0.15) {
+        mgr.set(v, static_cast<std::uint64_t>(rng.uniform_int(0, 400)),
+                ClusterRole::kFree);
+      } else if (r < 0.45 || heads.empty()) {
+        mgr.set(v, v, ClusterRole::kHead);
+        heads.push_back(v);
+      } else if (r < 0.9) {
+        mgr.set(v, rng.pick(heads), ClusterRole::kMember);
+      } else {
+        // Points at an id that may never have been assigned at all.
+        mgr.set(v, static_cast<std::uint64_t>(rng.uniform_int(1, 400)),
+                ClusterRole::kMember);
+      }
+    }
+    // Prune or demote some heads after their members joined.
+    for (const std::uint64_t h : heads) {
+      const double r = rng.uniform();
+      if (r < 0.1) {
+        mgr.drop(h);
+      } else if (r < 0.2) {
+        mgr.set(h, rng.pick(heads), ClusterRole::kMember);
+      }
+    }
+
+    const auto clusters = mgr.clusters();
+    EXPECT_EQ(clusters, per_head_clusters(mgr)) << "seed " << seed;
+    for (const auto& [vid, a] : mgr.assignments()) {
+      if (a.role == ClusterRole::kFree) ++free_seen;
+      if (a.role == ClusterRole::kMember &&
+          mgr.role(a.head) != ClusterRole::kHead) {
+        ++orphans_seen;
+      }
+    }
+    for (const auto& [head, members] : clusters) {
+      singletons_seen += members.size() == 1 ? 1 : 0;
+    }
+  }
+  // The generator really produced every shape the group-by has to handle.
+  EXPECT_GT(free_seen, 0u);
+  EXPECT_GT(singletons_seen, 0u);
+  EXPECT_GT(orphans_seen, 0u);
 }
 
 }  // namespace

@@ -497,6 +497,77 @@ TEST_F(CloudFixture, DynamicCloudFollowsCluster) {
   EXPECT_GT(cloud.region().radius, 0.0);
 }
 
+// Clusters written directly, so a size tie between two heads is exact.
+class ScriptedClusters final : public cluster::ClusterManager {
+ public:
+  using ClusterManager::ClusterManager;
+  [[nodiscard]] const char* name() const override { return "scripted"; }
+  void update() override {}
+  void join(std::uint64_t v, std::uint64_t head) {
+    assignments_[v] = cluster::ClusterAssignment{
+        VehicleId{head},
+        v == head ? cluster::ClusterRole::kHead : cluster::ClusterRole::kMember,
+        0.0};
+  }
+};
+
+std::vector<VehicleId> ids(std::initializer_list<std::uint64_t> values) {
+  std::vector<VehicleId> out;
+  for (const std::uint64_t v : values) out.push_back(VehicleId{v});
+  return out;
+}
+
+TEST_F(CloudFixture, LargestClusterTieGoesToLowestHeadId) {
+  ScriptedClusters clusters(net_);
+  for (const std::uint64_t v : {9, 10, 11}) clusters.join(v, 9);
+  for (const std::uint64_t v : {4, 20, 21}) clusters.join(v, 4);
+  for (const std::uint64_t v : {2, 30}) clusters.join(v, 2);
+  const auto membership = largest_cluster_membership(clusters);
+  EXPECT_EQ(membership(), ids({4, 20, 21}));
+  // A strictly larger cluster beats a lower head id.
+  clusters.join(12, 9);
+  EXPECT_EQ(membership(), ids({9, 10, 11, 12}));
+}
+
+// The dwell-ranked view of the members evaluates the cloud region once, not
+// once per worker: a dynamic cloud's region walks the whole membership, so
+// a per-worker evaluation made every refresh and submit cubic in the fleet.
+TEST_F(CloudFixture, RegionEvaluatedOncePerRefreshAndSubmit) {
+  for (int i = 0; i < 48; ++i) {
+    traffic_.spawn_parked(LinkId{static_cast<std::uint64_t>(i % 12)},
+                          15.0 * (i / 12));
+  }
+  net_.refresh();
+  int membership_calls = 0;
+  int region_calls = 0;
+  const auto members = stationary_membership(traffic_, {200, 200}, 1000.0);
+  const VehicularCloud::MembershipFn membership = [&, members] {
+    ++membership_calls;
+    return members();
+  };
+  const auto centroid = members_centroid_region(traffic_, membership, 300.0);
+  VehicularCloud cloud(CloudId{4}, net_, membership,
+                       [&, centroid] {
+                         ++region_calls;
+                         return centroid();
+                       },
+                       std::make_unique<DwellAwareScheduler>(), {}, Rng(6));
+  cloud.refresh();
+  ASSERT_EQ(cloud.member_count(), 48u);
+
+  membership_calls = region_calls = 0;
+  cloud.refresh();
+  EXPECT_EQ(region_calls, 1);      // broker election's view
+  EXPECT_EQ(membership_calls, 2);  // refresh's own, plus the region's
+
+  membership_calls = region_calls = 0;
+  Task t;
+  t.work = 5.0;
+  cloud.submit(t);
+  EXPECT_EQ(region_calls, 1);  // the one dispatch view
+  EXPECT_EQ(membership_calls, 1);
+}
+
 // ---- Dependability: crashes, heartbeats, retry, checkpoints, replicas ---------
 
 TEST_F(CloudFixture, CrashWithoutDetectorHangsForever) {
