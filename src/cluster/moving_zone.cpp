@@ -19,17 +19,21 @@ void MovingZone::update() {
 
   // Dense indices in the vehicle map's iteration order; each zone lists its
   // members in that order, so centroid sums do not depend on how the
-  // union-find happened to link roots.
+  // union-find happened to link roots. index_ maps a vehicle id to its
+  // dense index, kNone between updates.
   std::vector<const mobility::VehicleState*> state;
-  std::unordered_map<std::uint64_t, std::size_t> index;
   state.reserve(vehicles.size());
-  index.reserve(vehicles.size());
+  index_.resize(net_.traffic().id_bound(), kNone);
   for (const auto& [vid, v] : vehicles) {
-    index.emplace(vid, state.size());
+    index_[vid] = state.size();
     state.push_back(&v);
   }
 
-  // Union-find over the compatibility graph from neighbor tables.
+  // Union-find over the compatibility graph from neighbor tables. Roots are
+  // found before the velocity test, which is skipped for a pair already in
+  // one zone: zones are connected components, so the extra edge changes
+  // nothing, and members are listed in index order below whatever the
+  // union order was.
   std::vector<std::size_t> parent(state.size());
   std::iota(parent.begin(), parent.end(), std::size_t{0});
   const auto find = [&parent](std::size_t x) {
@@ -41,17 +45,17 @@ void MovingZone::update() {
   };
   for (std::size_t i = 0; i < state.size(); ++i) {
     for (const net::NeighborEntry& n : net_.neighbors(state[i]->id)) {
-      const auto it = index.find(n.id.value());
-      if (it == index.end()) continue;
-      if (!compatible(state[i]->vel, n.vel)) continue;
+      // A neighbor that despawned since the beacon round has no index.
+      const std::size_t j = index_[n.id.value()];
+      if (j == kNone) continue;
       const std::size_t ra = find(i);
-      const std::size_t rb = find(it->second);
-      if (ra != rb) parent[ra] = rb;
+      const std::size_t rb = find(j);
+      if (ra != rb && compatible(state[i]->vel, n.vel)) parent[ra] = rb;
     }
   }
+  for (const mobility::VehicleState* v : state) index_[v->id.value()] = kNone;
 
   // Gather zones.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<std::size_t> zone_of_root(state.size(), kNone);
   std::vector<std::vector<std::size_t>> zones;
   for (std::size_t i = 0; i < state.size(); ++i) {

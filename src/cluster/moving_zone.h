@@ -30,7 +30,13 @@ class MovingZone final : public ClusterManager {
   [[nodiscard]] bool compatible(geo::Vec2 vel_a, geo::Vec2 vel_b) const;
 
  private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   MovingZoneConfig config_;
+  // Dense index of each vehicle id during update(), kNone otherwise. Sized
+  // to TrafficModel::id_bound(), so it is reused across updates and only
+  // the entries one update set are reset.
+  std::vector<std::size_t> index_;
 };
 
 }  // namespace vcl::cluster

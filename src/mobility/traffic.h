@@ -54,6 +54,10 @@ class TrafficModel {
   [[nodiscard]] const VehicleState* find(VehicleId id) const;
   [[nodiscard]] VehicleState* find_mutable(VehicleId id);
   [[nodiscard]] std::size_t vehicle_count() const { return vehicles_.size(); }
+  // Ids are handed out from a counter starting at 0, so every id this model
+  // ever returned is below this bound: a table indexed by id needs no more
+  // rows, one per vehicle spawned over the run.
+  [[nodiscard]] std::uint64_t id_bound() const { return next_vehicle_id_; }
   [[nodiscard]] const std::unordered_map<std::uint64_t, VehicleState>&
   vehicles() const {
     return vehicles_;

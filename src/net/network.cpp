@@ -20,7 +20,7 @@ void Network::clear_handler(Address addr) { handlers_.erase(addr.key()); }
 
 void Network::start_beacons(SimTime period) {
   refresh();
-  sim_.schedule_every(period, [this] { beacon_round(); }, -1.0,
+  sim_.schedule_every(period, [this] { refresh(); }, -1.0,
                       "net.beacon");
 }
 
@@ -31,57 +31,69 @@ void Network::refresh() {
 
 void Network::rebuild_index() {
   index_.clear();
-  for (const auto& [vid, v] : traffic_.vehicles()) {
-    index_.insert(v.id, v.pos);
+  if (++round_ == 0) {  // wrapped: forget every old round
+    for (VehicleSlot& s : slots_) s.indexed_round = 0;
+    round_ = 1;
   }
-}
-
-void Network::beacon_round() {
-  rebuild_index();
-  beacon_round_tables();
+  // Every id in the index or in a neighbor table was handed out already,
+  // and nothing spawns before the round ends, so slot() needs no check.
+  slots_.resize(traffic_.id_bound());
+  for (const auto& [vid, v] : traffic_.vehicles()) {
+    index_.insert(Indexed{v.id, &v}, v.pos);
+    slot(v.id).indexed_round = round_;
+  }
 }
 
 void Network::beacon_round_tables() {
   const double range = channel_.config().max_range;
   const SimTime now = sim_.now();
-  std::vector<VehicleId> nearby;
+  const auto departed = [this](VehicleId id) {
+    return slot(id).indexed_round != round_;
+  };
 
   // Drop tables of departed vehicles.
-  for (auto it = neighbor_tables_.begin(); it != neighbor_tables_.end();) {
-    if (traffic_.find(VehicleId{it->first}) == nullptr) {
-      it = neighbor_tables_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(neighbor_tables_, [&](const auto& kv) {
+    return departed(VehicleId{kv.first});
+  });
 
   for (const auto& [vid, v] : traffic_.vehicles()) {
-    index_.query(v.pos, range, nearby);
+    index_.query(v.pos, range, nearby_);
     auto& table = neighbor_tables_[v.id.value()];
-    const std::size_t density = nearby.size();
-    for (const VehicleId nid : nearby) {
-      if (nid == v.id) continue;
-      const mobility::VehicleState* n = traffic_.find(nid);
-      if (n == nullptr) continue;
-      // Sample beacon reception from neighbor -> v; refresh on success.
-      if (!rng_.bernoulli(
-              channel_.reception_probability(n->pos, v.pos, density))) {
-        continue;
-      }
-      auto existing =
-          std::find_if(table.begin(), table.end(),
-                       [nid](const NeighborEntry& e) { return e.id == nid; });
-      if (existing != table.end()) {
-        *existing = NeighborEntry{n->id, n->pos, n->vel, now};
+    const std::size_t density = nearby_.size();
+    // Sample the beacon of each neighbor -> v in candidate order and list
+    // the ones heard. The receiver itself gets p = 0, for which bernoulli()
+    // makes no draw. Branch-free count: a draw's outcome is a coin flip no
+    // predictor learns.
+    heard_.resize(nearby_.size());
+    std::size_t n_heard = 0;
+    for (std::size_t k = 0; k < nearby_.size(); ++k) {
+      const Indexed& n = nearby_[k];
+      const double p =
+          n.id == v.id ? 0.0
+                       : channel_.reception_probability(n.state->pos, v.pos,
+                                                        density);
+      heard_[n_heard] = static_cast<std::uint32_t>(k);
+      n_heard += rng_.bernoulli(p) ? 1 : 0;
+    }
+    // Refresh the entries heard before, append new neighbors in order.
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      slot(table[i].id).table_pos = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t h = 0; h < n_heard; ++h) {
+      const mobility::VehicleState& n = *nearby_[heard_[h]].state;
+      const NeighborEntry entry{n.id, n.pos, n.vel, now};
+      const std::uint32_t pos = slot(n.id).table_pos;
+      if (pos != VehicleSlot::kNoPos) {
+        table[pos] = entry;
       } else {
-        table.push_back(NeighborEntry{n->id, n->pos, n->vel, now});
+        table.push_back(entry);
       }
     }
-    // Expire stale entries and entries for departed or out-of-range-departed
-    // vehicles.
+    // Expire stale entries and entries of departed vehicles, keeping the
+    // order, and clear the table positions for the next receiver.
     std::erase_if(table, [&](const NeighborEntry& e) {
-      if (now - e.last_heard > neighbor_ttl_) return true;
-      return traffic_.find(e.id) == nullptr;
+      slot(e.id).table_pos = VehicleSlot::kNoPos;
+      return now - e.last_heard > neighbor_ttl_ || departed(e.id);
     });
   }
 }
@@ -112,12 +124,12 @@ std::optional<geo::Vec2> Network::position_of(Address addr) const {
 }
 
 std::size_t Network::local_density(geo::Vec2 pos) const {
-  std::vector<VehicleId> nearby;
+  std::vector<Indexed> nearby;
   index_.query(pos, channel_.config().reference_range, nearby);
   double extra = 0.0;
   if (!extra_load_.empty()) {
-    for (const VehicleId v : nearby) {
-      auto it = extra_load_.find(v.value());
+    for (const Indexed& v : nearby) {
+      auto it = extra_load_.find(v.id.value());
       if (it != extra_load_.end()) extra += it->second;
     }
   }
@@ -232,12 +244,12 @@ std::size_t Network::broadcast(Message msg) {
   const std::size_t density = local_density(*from);
 
   std::size_t reached = 0;
-  std::vector<VehicleId> nearby;
+  std::vector<Indexed> nearby;
   index_.query(*from, channel_.config().max_range, nearby);
-  for (const VehicleId nid : nearby) {
-    const Address addr = Address::vehicle(nid);
+  for (const Indexed& candidate : nearby) {
+    const Address addr = Address::vehicle(candidate.id);
     if (addr == msg.src) continue;
-    const mobility::VehicleState* n = traffic_.find(nid);
+    const mobility::VehicleState* n = traffic_.find(candidate.id);
     if (n == nullptr) continue;
     const ReceptionResult r =
         channel_.attempt(*from, n->pos, msg.size_bytes, density, rng_);

@@ -127,19 +127,46 @@ class Network {
   void set_backhaul_latency(SimTime s) { backhaul_latency_ = s; }
 
  private:
-  void beacon_round();
   void beacon_round_tables();
   void rebuild_index();
   void deliver(const Message& msg, Address to, SimTime delay);
   bool transmit(const Message& msg, Address to);
+
+  // A vehicle in the spatial index. `state` points into the traffic
+  // model's vehicle map and may be dereferenced only by the pass that
+  // rebuilt the index (rebuild_index() then beacon_round_tables(), with no
+  // event in between): a vehicle can despawn between rounds, which frees
+  // its state. Every later reader of the index (broadcast, local_density)
+  // uses `id` alone and looks the vehicle up live.
+  struct Indexed {
+    VehicleId id;
+    const mobility::VehicleState* state;
+  };
+  // Beacon-round bookkeeping of one vehicle id.
+  struct VehicleSlot {
+    static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
+    // Position in the neighbor table being refreshed, kNoPos otherwise.
+    std::uint32_t table_pos = kNoPos;
+    // Equals round_ while the vehicle is in the index, i.e. alive: nothing
+    // despawns between rebuild_index() and the end of the round.
+    std::uint32_t indexed_round = 0;
+  };
+  VehicleSlot& slot(VehicleId id) { return slots_[id.value()]; }
 
   sim::Simulator& sim_;
   mobility::TrafficModel& traffic_;
   Channel channel_;
   Rng rng_;
   RsuField rsus_;
-  geo::SpatialGrid<VehicleId> index_;
+  geo::SpatialGrid<Indexed> index_;
   std::unordered_map<std::uint64_t, std::vector<NeighborEntry>> neighbor_tables_;
+  // Indexed by vehicle id, sized to TrafficModel::id_bound(): 8 bytes per
+  // vehicle spawned over the run.
+  std::vector<VehicleSlot> slots_;
+  std::uint32_t round_ = 0;
+  // Beacon-round scratch, reused across receivers and rounds.
+  std::vector<Indexed> nearby_;
+  std::vector<std::uint32_t> heard_;
   std::unordered_map<std::uint64_t, Handler> handlers_;
   VehicleHandler vehicle_default_handler_;
   std::uint64_t next_msg_id_ = 1;

@@ -35,12 +35,6 @@ double Rng::exponential(double rate) {
   return std::exponential_distribution<double>(rate)(engine_);
 }
 
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return std::bernoulli_distribution(p)(engine_);
-}
-
 int Rng::poisson(double mean) {
   if (mean <= 0.0) return 0;
   return std::poisson_distribution<int>(mean)(engine_);

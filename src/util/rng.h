@@ -27,8 +27,31 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   double normal(double mean, double stddev);
   double exponential(double rate);
-  bool bernoulli(double p);
+  // True with probability p. Draw for draw the same as
+  // std::bernoulli_distribution(p) on this engine: libstdc++ compares
+  // generate_canonical<double, 53> (one 64-bit draw) against p. Inline
+  // because the beacon round makes one call per vehicle pair.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return canonical() < p;
+  }
   int poisson(double mean);
+
+  // Uniform double in [0, 1) from one engine draw.
+  double canonical() { return to_canonical(engine_()); }
+  // The value std::generate_canonical<double, 53> returns for a 64-bit
+  // engine that drew `bits`: bits / 2^64 rounded to double, with 1.0 (the
+  // top 1024 values round up to it) clamped to the largest double below 1.
+  // The two 32-bit halves scale exactly, so their sum rounds once, to the
+  // same value as converting all 64 bits; unlike that conversion, it needs
+  // no branch on the top bit, which is a coin flip.
+  static constexpr double to_canonical(std::uint64_t bits) {
+    const double scaled =
+        static_cast<double>(static_cast<std::uint32_t>(bits >> 32)) * 0x1p-32 +
+        static_cast<double>(static_cast<std::uint32_t>(bits)) * 0x1p-64;
+    return std::min(scaled, 1.0 - 0x1p-53);
+  }
 
   // Picks a uniformly random element index of a container of size n (n > 0).
   std::size_t index(std::size_t n);

@@ -11,9 +11,10 @@
 //
 // Coverage: one chaos episode per vcl_chaos mode (benign, storage, dag,
 // adversary), run through core::run_chaos_episode exactly as the soak
-// runner does, and one traced dynamic-cloud VehicularCloudSystem run at
-// ~200 vehicles with a task stream, which drives the cluster membership,
-// region and dwell closures.
+// runner does, and two traced VehicularCloudSystem runs of 200 vehicles
+// with a task stream: a dynamic cloud on a city grid, which drives the
+// cluster membership, region and dwell closures, and an RSU cloud on a
+// highway, which drives the infrastructure path.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -99,26 +100,9 @@ TEST(DeterminismDigest, ChaosAdversary) {
             "05260a4c0804c765d817347b5c37ac90f180682d7e1a475d033330a688a900ee");
 }
 
-// Dynamic v-cloud (Fig. 4c) on a city grid: the cloud follows the largest
-// moving zone, and every dispatch ranks members by dwell in that zone's
-// centroid region.
-TEST(DeterminismDigest, DynamicCloudRun) {
-  SystemConfig config;
-  config.scenario.seed = 11;
-  config.scenario.grid_rows = 4;
-  config.scenario.grid_cols = 4;
-  config.scenario.grid_spacing = 250.0;
-  config.scenario.vehicles = 200;
-  config.architecture = CloudArchitecture::kDynamic;
-  config.telemetry.tracing = true;
-  VehicularCloudSystem system(config);
-  system.start();
-  vcloud::WorkloadGenerator workload({15.0, 1.0, 0.2, 30.0},
-                                     system.scenario().fork_rng(5));
-  auto& sim = system.scenario().simulator();
-  sim.schedule_every(0.5, [&] { system.submit(workload.next(sim.now())); });
-  system.run_for(20.0);
-
+// A run of the whole system: outcome statistics, the cluster shape, the
+// flight ring and the trace JSONL.
+std::string system_digest(VehicularCloudSystem& system) {
   std::ostringstream os;
   os.precision(17);
   const vcloud::CloudStats& s = system.cloud().stats();
@@ -141,8 +125,51 @@ TEST(DeterminismDigest, DynamicCloudRun) {
     os << '\n';
   }
   system.telemetry()->trace.write_jsonl(os);
-  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(os.str())),
+  return crypto::to_hex(crypto::Sha256::hash(os.str()));
+}
+
+// Starts a traced system, submits a task every 0.5 s for `seconds`, and
+// digests the run.
+std::string traced_run_digest(SystemConfig config, SimTime seconds) {
+  config.telemetry.tracing = true;
+  VehicularCloudSystem system(config);
+  system.start();
+  vcloud::WorkloadGenerator workload({15.0, 1.0, 0.2, 30.0},
+                                     system.scenario().fork_rng(5));
+  auto& sim = system.scenario().simulator();
+  sim.schedule_every(0.5, [&] { system.submit(workload.next(sim.now())); });
+  system.run_for(seconds);
+  return system_digest(system);
+}
+
+// Dynamic v-cloud (Fig. 4c) on a city grid: the cloud follows the largest
+// moving zone, and every dispatch ranks members by dwell in that zone's
+// centroid region.
+TEST(DeterminismDigest, DynamicCloudRun) {
+  SystemConfig config;
+  config.scenario.seed = 11;
+  config.scenario.grid_rows = 4;
+  config.scenario.grid_cols = 4;
+  config.scenario.grid_spacing = 250.0;
+  config.scenario.vehicles = 200;
+  config.architecture = CloudArchitecture::kDynamic;
+  EXPECT_EQ(traced_run_digest(config, 20.0),
             "500d158c40a9a18b7a66a68febd8dedf7a923c14dd0ecb071c4c79a457d2ba38");
+}
+
+// Infrastructure-based v-cloud (Fig. 4b) on a highway: the cloud is the
+// fleet under the nearest RSU, so this pins the RSU path and the highway
+// geometry of the beacon round, which the city run does not reach.
+TEST(DeterminismDigest, HighwayRsuCloudRun) {
+  SystemConfig config;
+  config.scenario.seed = 13;
+  config.scenario.environment = Environment::kHighway;
+  config.scenario.vehicles = 200;
+  config.scenario.rsu_spacing = 1000.0;
+  config.scenario.rsu_range = 500.0;
+  config.architecture = CloudArchitecture::kInfrastructureBased;
+  EXPECT_EQ(traced_run_digest(config, 20.0),
+            "fa621a150fa72f175a80b156b0bf40d6ab7f586e8b55744068f452bbd16e74c4");
 }
 
 }  // namespace

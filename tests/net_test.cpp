@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
+#include "crypto/sha256.h"
 #include "mobility/traffic.h"
 #include "net/channel.h"
 #include "net/network.h"
@@ -247,6 +251,124 @@ TEST_F(NetworkFixture, BackhaulDropsWhenOffline) {
   net_.send_backhaul(r1, r2, msg);
   sim_.run_until(1.0);
   EXPECT_EQ(received, 0);
+}
+
+// Appends every neighbor table, vehicles sorted by id and entries in table
+// order, with full double precision.
+void dump_tables(const mobility::TrafficModel& traffic, const Network& net,
+                 std::ostream& os) {
+  std::vector<VehicleId> ids;
+  for (const auto& [vid, v] : traffic.vehicles()) ids.push_back(v.id);
+  std::sort(ids.begin(), ids.end());
+  for (const VehicleId id : ids) {
+    os << id.value() << ':';
+    for (const NeighborEntry& e : net.neighbors(id)) {
+      os << ' ' << e.id.value() << ',' << e.pos.x << ',' << e.pos.y << ','
+         << e.vel.x << ',' << e.vel.y << ',' << e.last_heard;
+    }
+    os << '\n';
+  }
+}
+
+bool in_any_table(const mobility::TrafficModel& traffic, const Network& net,
+                  VehicleId id) {
+  for (const auto& [vid, v] : traffic.vehicles()) {
+    for (const NeighborEntry& e : net.neighbors(v.id)) {
+      if (e.id == id) return true;
+    }
+  }
+  return false;
+}
+
+// Pins the beacon tables of a moving fleet, entry by entry, over 31 rounds:
+// arrivals and explicit despawns between rounds, TTL expiry, a blackout
+// that empties the tables of the vehicles under it, and two refresh() calls
+// at one instant around a despawn (the second must drop the departed
+// neighbor although the first refreshed it at that instant). A speed-up of
+// the beacon round must leave the golden unchanged.
+TEST(BeaconTables, GoldenOverDespawnsExpiryAndBlackout) {
+  const geo::RoadNetwork road = geo::make_manhattan_grid(5, 5, 200.0);
+  sim::Simulator sim;
+  mobility::TrafficModel traffic(road, Rng(7));
+  Network net(sim, traffic, ChannelConfig{}, Rng(8));
+  net.set_neighbor_ttl(2.0);
+
+  Rng routes(9);
+  const auto nodes = static_cast<std::int64_t>(road.node_count());
+  while (traffic.vehicle_count() < 60) {
+    const NodeId from{static_cast<std::uint64_t>(routes.uniform_int(0, nodes - 1))};
+    const NodeId to{static_cast<std::uint64_t>(routes.uniform_int(0, nodes - 1))};
+    if (from == to) continue;
+    const auto path = road.shortest_path(from, to);
+    if (path) traffic.spawn(*path, routes.uniform(8.0, 14.0));
+  }
+  const auto [lo, hi] = road.bounding_box();
+  const geo::Vec2 center = (lo + hi) / 2.0;
+  // Parked vehicles near the blackout center, on the middle row's links.
+  std::vector<VehicleId> parked;
+  for (std::size_t l = 0; l < road.link_count() && parked.size() < 6; ++l) {
+    if (geo::distance(road.position_on_link(LinkId{l}, 20.0), center) <
+        150.0) {
+      parked.push_back(traffic.spawn_parked(LinkId{l}, 20.0));
+    }
+  }
+  ASSERT_FALSE(parked.empty());
+
+  traffic.attach(sim, 0.1);
+  net.start_beacons(1.0);
+
+  std::ostringstream os;
+  os.precision(17);
+  sim.schedule_every(1.0, [&] {
+    os << "t=" << sim.now() << '\n';
+    dump_tables(traffic, net, os);
+  }, 0.5);
+  // Despawn the lowest-id live vehicle between rounds.
+  const auto despawn_lowest = [&] {
+    VehicleId lowest{~std::uint64_t{0}};
+    for (const auto& [vid, v] : traffic.vehicles()) {
+      lowest = std::min(lowest, v.id);
+    }
+    traffic.despawn(lowest);
+  };
+  for (const SimTime t : {4.3, 11.3, 17.3, 25.3}) {
+    sim.schedule_at(t, despawn_lowest);
+  }
+
+  std::size_t heard_before_blackout = 0;
+  sim.schedule_at(7.7, [&] {
+    heard_before_blackout = net.neighbors(parked.front()).size();
+  });
+  std::uint64_t blackout = 0;
+  sim.schedule_at(8.2, [&] {
+    blackout = net.channel().add_blackout({center, 250.0});
+  });
+  std::size_t heard_in_blackout = 0;
+  sim.schedule_at(12.7, [&] {
+    heard_in_blackout = net.neighbors(parked.front()).size();
+  });
+  sim.schedule_at(14.2, [&] { net.channel().remove_blackout(blackout); });
+
+  VehicleId victim;
+  bool victim_dropped = false;
+  sim.schedule_at(20.7, [&] {
+    net.refresh();
+    ASSERT_FALSE(net.neighbors(parked.front()).empty());
+    victim = net.neighbors(parked.front()).front().id;
+    traffic.despawn(victim);
+    net.refresh();
+    victim_dropped = !in_any_table(traffic, net, victim);
+    os << "double refresh\n";
+    dump_tables(traffic, net, os);
+  });
+
+  sim.run_until(30.9);
+  EXPECT_GT(heard_before_blackout, 0u);
+  EXPECT_EQ(heard_in_blackout, 0u);  // every entry expired by TTL
+  EXPECT_TRUE(victim.valid());
+  EXPECT_TRUE(victim_dropped);
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(os.str())),
+            "802e31601244f7c427219a5fcd8cd6922aaff5b90d0177387741dd4baf6f7339");
 }
 
 TEST(MessageKind, Names) {

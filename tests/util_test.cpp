@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -86,6 +88,88 @@ TEST(Rng, BernoulliExtremes) {
   Rng r(9);
   EXPECT_FALSE(r.bernoulli(0.0));
   EXPECT_TRUE(r.bernoulli(1.0));
+}
+
+// A 64-bit engine that returns one fixed value.
+struct FixedEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return value; }
+  result_type value;
+};
+
+TEST(Rng, CanonicalMatchesGenerateCanonical) {
+  for (const std::uint64_t bits :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 63,
+        ~std::uint64_t{0}, ~std::uint64_t{0} - 1023, ~std::uint64_t{0} - 1024,
+        std::uint64_t{0x0123456789abcdef}, (std::uint64_t{1} << 53) + 1,
+        (std::uint64_t{1} << 63) + 1025, ~std::uint64_t{0} - 3071}) {
+    FixedEngine engine{bits};
+    const double expected = std::generate_canonical<double, 53>(engine);
+    EXPECT_EQ(Rng::to_canonical(bits), expected) << bits;
+    EXPECT_LT(Rng::to_canonical(bits), 1.0) << bits;
+    // bernoulli_distribution compares the same value against p, so p on
+    // either side of it decides the same way.
+    for (const double p :
+         {expected, std::nextafter(expected, 0.0),
+          std::nextafter(expected, 1.0)}) {
+      if (p <= 0.0 || p >= 1.0) continue;
+      EXPECT_EQ(Rng::to_canonical(bits) < p,
+                std::bernoulli_distribution(p)(engine))
+          << bits << " p=" << p;
+    }
+  }
+}
+
+// to_canonical() adds the two 32-bit halves instead of converting all 64
+// bits at once; the rounding must agree everywhere, including ties.
+TEST(Rng, CanonicalMatchesGenerateCanonicalOnRandomBits) {
+  std::mt19937_64 bits(5);
+  for (int i = 0; i < 200000; ++i) {
+    // Every fourth value keeps only its top 54 bits, so the 64-to-53-bit
+    // rounding often lands on a tie.
+    FixedEngine engine{i % 4 == 0 ? bits() & ~std::uint64_t{0x3ff} : bits()};
+    const double expected = std::generate_canonical<double, 53>(engine);
+    ASSERT_EQ(Rng::to_canonical(engine.value), expected) << engine.value;
+  }
+}
+
+// Rng::bernoulli is inlined on the beacon round's hot path; it must make
+// the same decision from the same draw as the std::bernoulli_distribution
+// it replaced (which it wraps with early returns for p <= 0 and p >= 1,
+// where no draw is made), or every simulated run would change.
+TEST(Rng, BernoulliMatchesStdDistributionDrawForDraw) {
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       1e-300,
+                       1e-17,
+                       0x1p-53,
+                       0.25,
+                       0.5,
+                       0.9,
+                       0.999999,
+                       1.0 - 0x1p-53,
+                       1.0,
+                       -0.5,
+                       1.5};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    Rng p_source(seed + 1000);
+    for (int draw = 0; draw < 400; ++draw) {
+      const double p = draw < 13 * 20 ? ps[draw % 13] : p_source.uniform();
+      bool expected = false;
+      if (p >= 1.0) {
+        expected = true;
+      } else if (p > 0.0) {
+        expected = std::bernoulli_distribution(p)(reference);
+      }
+      ASSERT_EQ(rng.bernoulli(p), expected)
+          << "seed " << seed << " draw " << draw << " p=" << p;
+    }
+    EXPECT_TRUE(rng.engine() == reference) << "seed " << seed;
+  }
 }
 
 TEST(Rng, PoissonMeanRoughlyCorrect) {
