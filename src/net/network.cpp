@@ -38,9 +38,16 @@ void Network::rebuild_index() {
   // Every id in the index or in a neighbor table was handed out already,
   // and nothing spawns before the round ends, so slot() needs no check.
   slots_.resize(traffic_.id_bound());
+  // Blackouts cannot change before the round ends, so each vehicle's is
+  // tested once here instead of once per pair.
+  const bool blackouts = channel_.blackout_count() > 0;
+  any_dark_ = false;
   for (const auto& [vid, v] : traffic_.vehicles()) {
     index_.insert(Indexed{v.id, &v}, v.pos);
-    slot(v.id).indexed_round = round_;
+    VehicleSlot& s = slot(v.id);
+    s.indexed_round = round_;
+    s.dark = blackouts && channel_.blacked_out(v.pos);
+    any_dark_ = any_dark_ || s.dark;
   }
 }
 
@@ -56,24 +63,34 @@ void Network::beacon_round_tables() {
     return departed(VehicleId{kv.first});
   });
 
+  BeaconCounters counters = beacon_counters_;
   for (const auto& [vid, v] : traffic_.vehicles()) {
     index_.query(v.pos, range, nearby_);
     auto& table = neighbor_tables_[v.id.value()];
     const std::size_t density = nearby_.size();
+    const BeaconReceiver rx =
+        channel_.beacon_receiver(v.pos, density, slot(v.id).dark);
+    counters.pairs += density - 1;  // the index holds v itself
     // Sample the beacon of each neighbor -> v in candidate order and list
     // the ones heard. The receiver itself gets p = 0, for which bernoulli()
-    // makes no draw. Branch-free count: a draw's outcome is a coin flip no
-    // predictor learns.
+    // makes no draw, and so does every pair of a saturated receiver.
+    // Branch-free count: a draw's outcome is a coin flip no predictor
+    // learns.
     heard_.resize(nearby_.size());
     std::size_t n_heard = 0;
-    for (std::size_t k = 0; k < nearby_.size(); ++k) {
-      const Indexed& n = nearby_[k];
-      const double p =
-          n.id == v.id ? 0.0
-                       : channel_.reception_probability(n.state->pos, v.pos,
-                                                        density);
-      heard_[n_heard] = static_cast<std::uint32_t>(k);
-      n_heard += rng_.bernoulli(p) ? 1 : 0;
+    if (rx.saturated) {
+      ++counters.saturated_receivers;
+    } else {
+      for (std::size_t k = 0; k < nearby_.size(); ++k) {
+        const Indexed& n = nearby_[k];
+        if (n.id == v.id) continue;
+        const bool from_dark = any_dark_ && slot(n.id).dark;
+        heard_[n_heard] = static_cast<std::uint32_t>(k);
+        n_heard += channel_.beacon_heard(n.state->pos, from_dark, rx, rng_,
+                                         counters)
+                       ? 1
+                       : 0;
+      }
     }
     // Refresh the entries heard before, append new neighbors in order.
     for (std::size_t i = 0; i < table.size(); ++i) {
@@ -96,6 +113,7 @@ void Network::beacon_round_tables() {
       return now - e.last_heard > neighbor_ttl_ || departed(e.id);
     });
   }
+  beacon_counters_ = counters;
 }
 
 const std::vector<NeighborEntry>& Network::neighbors(VehicleId v) const {

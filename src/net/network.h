@@ -116,6 +116,10 @@ class Network {
 
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   NetStats& stats() { return stats_; }
+  // Operation counts of every beacon round so far.
+  [[nodiscard]] const BeaconCounters& beacon_counters() const {
+    return beacon_counters_;
+  }
 
   // --- telemetry (null recorder = one branch per event) ----------------------
   // net.* events are trace-only: with tracing off each costs a mask test.
@@ -150,6 +154,8 @@ class Network {
     // Equals round_ while the vehicle is in the index, i.e. alive: nothing
     // despawns between rebuild_index() and the end of the round.
     std::uint32_t indexed_round = 0;
+    // Inside a blackout at rebuild_index(); valid for that round only.
+    bool dark = false;
   };
   VehicleSlot& slot(VehicleId id) { return slots_[id.value()]; }
 
@@ -160,10 +166,12 @@ class Network {
   RsuField rsus_;
   geo::SpatialGrid<Indexed> index_;
   std::unordered_map<std::uint64_t, std::vector<NeighborEntry>> neighbor_tables_;
-  // Indexed by vehicle id, sized to TrafficModel::id_bound(): 8 bytes per
+  // Indexed by vehicle id, sized to TrafficModel::id_bound(): 12 bytes per
   // vehicle spawned over the run.
   std::vector<VehicleSlot> slots_;
   std::uint32_t round_ = 0;
+  bool any_dark_ = false;  // some slot is dark this round
+  BeaconCounters beacon_counters_;
   // Beacon-round scratch, reused across receivers and rounds.
   std::vector<Indexed> nearby_;
   std::vector<std::uint32_t> heard_;

@@ -128,24 +128,25 @@ std::string system_digest(VehicularCloudSystem& system) {
   return crypto::to_hex(crypto::Sha256::hash(os.str()));
 }
 
-// Starts a traced system, submits a task every 0.5 s for `seconds`, and
-// digests the run.
-std::string traced_run_digest(SystemConfig config, SimTime seconds) {
-  config.telemetry.tracing = true;
-  VehicularCloudSystem system(config);
+// Starts the system and submits a task every 0.5 s for `seconds`.
+void run_with_tasks(VehicularCloudSystem& system, SimTime seconds) {
   system.start();
   vcloud::WorkloadGenerator workload({15.0, 1.0, 0.2, 30.0},
                                      system.scenario().fork_rng(5));
   auto& sim = system.scenario().simulator();
   sim.schedule_every(0.5, [&] { system.submit(workload.next(sim.now())); });
   system.run_for(seconds);
+}
+
+// Runs a traced system with tasks and digests the run.
+std::string traced_run_digest(SystemConfig config, SimTime seconds) {
+  config.telemetry.tracing = true;
+  VehicularCloudSystem system(config);
+  run_with_tasks(system, seconds);
   return system_digest(system);
 }
 
-// Dynamic v-cloud (Fig. 4c) on a city grid: the cloud follows the largest
-// moving zone, and every dispatch ranks members by dwell in that zone's
-// centroid region.
-TEST(DeterminismDigest, DynamicCloudRun) {
+SystemConfig dynamic_city_config() {
   SystemConfig config;
   config.scenario.seed = 11;
   config.scenario.grid_rows = 4;
@@ -153,8 +154,29 @@ TEST(DeterminismDigest, DynamicCloudRun) {
   config.scenario.grid_spacing = 250.0;
   config.scenario.vehicles = 200;
   config.architecture = CloudArchitecture::kDynamic;
-  EXPECT_EQ(traced_run_digest(config, 20.0),
+  return config;
+}
+
+// Dynamic v-cloud (Fig. 4c) on a city grid: the cloud follows the largest
+// moving zone, and every dispatch ranks members by dwell in that zone's
+// centroid region.
+TEST(DeterminismDigest, DynamicCloudRun) {
+  EXPECT_EQ(traced_run_digest(dynamic_city_config(), 20.0),
             "500d158c40a9a18b7a66a68febd8dedf7a923c14dd0ecb071c4c79a457d2ba38");
+}
+
+// The beacon rounds of the same run, counted: the pairs and draws are the
+// simulation's own (exact goldens), and the table bounds decide all but at
+// most 1% of the pairs without computing the reception probability.
+TEST(DeterminismDigest, DynamicCloudBeaconCounters) {
+  VehicularCloudSystem system(dynamic_city_config());
+  run_with_tasks(system, 20.0);
+  const net::BeaconCounters& c =
+      system.scenario().network().beacon_counters();
+  EXPECT_EQ(c.pairs, 263978u);
+  EXPECT_EQ(c.draws, 263978u);
+  EXPECT_EQ(c.saturated_receivers, 0u);
+  EXPECT_LE(c.exact_evaluations * 100, c.pairs);
 }
 
 // Infrastructure-based v-cloud (Fig. 4b) on a highway: the cloud is the

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "crypto/sha256.h"
 #include "mobility/traffic.h"
@@ -53,6 +55,146 @@ TEST(Channel, AttemptRespectsCutoff) {
   Rng rng(1);
   const ReceptionResult r = ch.attempt({0, 0}, {500, 0}, 100, 0, rng);
   EXPECT_FALSE(r.received);
+}
+
+// Channel::beacon_heard() against the draw it replaces,
+// rng.bernoulli(reception_probability(...)), on twin engines: the same
+// outcome and the same next engine output after every pair. The pairs are
+// drawn to hit the edges of the table: d at reference_range and max_range
+// to within an ulp, d² at the near-path threshold and at bin edges,
+// saturating densities and blacked-out endpoints.
+struct SamplerCase {
+  const char* name;
+  ChannelConfig config;
+  bool tabulated;
+};
+
+void PrintTo(const SamplerCase& c, std::ostream* os) { *os << c.name; }
+
+ChannelConfig with(void (*edit)(ChannelConfig&)) {
+  ChannelConfig c;
+  edit(c);
+  return c;
+}
+
+const SamplerCase kSamplerCases[] = {
+    {"default", {}, true},
+    {"no_base_loss", with([](ChannelConfig& c) { c.base_loss = 0.0; }), true},
+    {"no_shadowing", with([](ChannelConfig& c) { c.shadowing_sigma = 0.0; }),
+     true},
+    {"fade_exponent_half",
+     with([](ChannelConfig& c) { c.path_loss_exponent = 1.0; }), true},
+    {"flat_fade", with([](ChannelConfig& c) { c.path_loss_exponent = 0.0; }),
+     true},
+    {"wide_shadowing", with([](ChannelConfig& c) { c.shadowing_sigma = 30.0; }),
+     true},
+    {"no_contention",
+     with([](ChannelConfig& c) { c.contention_per_neighbor = 0.0; }), true},
+    {"narrow_band", with([](ChannelConfig& c) { c.max_range = 150.5; }), true},
+    {"max_at_reference",
+     with([](ChannelConfig& c) { c.max_range = c.reference_range; }), false},
+    {"negative_sigma",
+     with([](ChannelConfig& c) { c.shadowing_sigma = -1.0; }), false},
+};
+
+class BeaconSampler : public ::testing::TestWithParam<SamplerCase> {};
+
+TEST_P(BeaconSampler, DrawForDrawTheExactBernoulli) {
+  const ChannelConfig& cfg = GetParam().config;
+  Channel ch(cfg);
+  ASSERT_EQ(ch.tabulated(), GetParam().tabulated);
+  ch.add_blackout({{0.0, 0.0}, 120.0});
+
+  const double ref = cfg.reference_range;
+  const double max = cfg.max_range;
+  const double ref2 = ref * ref;
+  const double bin = (max * max - ref2) / 1024.0;
+  const auto ulps = [](double x, int k) {
+    for (; k > 0; --k) x = std::nextafter(x, HUGE_VAL);
+    for (; k < 0; ++k) x = std::nextafter(x, -HUGE_VAL);
+    return x;
+  };
+  Rng pick(17);
+  Rng fast(23);
+  Rng exact(23);
+  BeaconCounters counters;
+  std::uint64_t exact_draws = 0;
+  std::uint64_t lit_pairs = 0;
+  constexpr int kPairs = 1'000'000;
+  for (int i = 0; i < kPairs; ++i) {
+    geo::Vec2 to{pick.uniform(-500.0, 500.0), pick.uniform(-500.0, 500.0)};
+    geo::Vec2 from;
+    const std::int64_t kind = pick.uniform_int(0, 5);
+    if (kind < 2) {
+      // Any direction; d uniform, or d² uniform over the table.
+      const double d =
+          kind == 0 ? pick.uniform(0.0, 1.05 * max)
+                    : std::sqrt(pick.uniform(ref2, max * max));
+      const double a = pick.uniform(0.0, 6.283185307179586);
+      from = to + geo::Vec2{d * std::cos(a), d * std::sin(a)};
+    } else {
+      // Along an axis from x = 0, so hypot() returns d exactly.
+      double d = 0.0;
+      const int k = static_cast<int>(pick.uniform_int(-2, 2));
+      switch (kind) {
+        case 2: d = ulps(ref, k); break;
+        case 3: d = ulps(max, k); break;
+        case 4: d = std::sqrt(ref2 * pick.uniform(1.0 - 2e-9, 1.0 + 2e-9));
+          break;
+        default:
+          d = ulps(std::sqrt(ref2 + bin * static_cast<double>(
+                                            pick.uniform_int(0, 1024))),
+                   k);
+      }
+      to.x = 0.0;
+      from = {pick.bernoulli(0.5) ? d : -d, to.y};
+    }
+    const std::size_t density =
+        pick.bernoulli(0.1) && cfg.contention_per_neighbor > 0.0
+            ? static_cast<std::size_t>(1.0 / cfg.contention_per_neighbor) +
+                  static_cast<std::size_t>(pick.uniform_int(-2, 3))
+            : static_cast<std::size_t>(pick.uniform_int(0, 120));
+    const bool from_dark = ch.blacked_out(from);
+    const bool to_dark = ch.blacked_out(to);
+    lit_pairs += from_dark || to_dark ? 0 : 1;
+
+    const BeaconReceiver rx = ch.beacon_receiver(to, density, to_dark);
+    const bool got = ch.beacon_heard(from, from_dark, rx, fast, counters);
+    const double p = ch.reception_probability(from, to, density);
+    exact_draws += p > 0.0 && p < 1.0 ? 1 : 0;
+    const bool want = exact.bernoulli(p);
+    ASSERT_EQ(got, want) << "pair " << i << " d=" << geo::distance(from, to)
+                         << " density=" << density << " p=" << p;
+    ASSERT_EQ(fast.engine()(), exact.engine()()) << "pair " << i;
+  }
+  EXPECT_EQ(counters.draws, exact_draws);
+  if (GetParam().tabulated) {
+    EXPECT_LT(counters.exact_evaluations, lit_pairs / 2);
+  } else {
+    EXPECT_EQ(counters.exact_evaluations, lit_pairs);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, BeaconSampler,
+                         ::testing::ValuesIn(kSamplerCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(BeaconSampler, SaturatedReceiverMakesNoDraw) {
+  const Channel ch;
+  const std::size_t saturating = 250;  // 1 / contention_per_neighbor
+  const BeaconReceiver rx = ch.beacon_receiver({0, 0}, saturating, false);
+  EXPECT_TRUE(rx.saturated);
+  EXPECT_FALSE(ch.beacon_receiver({0, 0}, saturating - 1, false).saturated);
+  Rng rng(5);
+  Rng twin(5);
+  BeaconCounters counters;
+  for (double d = 0.0; d <= 300.0; d += 0.5) {
+    EXPECT_FALSE(ch.beacon_heard({d, 0}, false, rx, rng, counters));
+  }
+  EXPECT_EQ(counters.draws, 0u);
+  EXPECT_EQ(rng.engine()(), twin.engine()());
 }
 
 TEST(RsuField, CoveringPicksNearestOnline) {
@@ -197,6 +339,36 @@ TEST_F(NetworkFixture, BeaconsFillNeighborTables) {
   ASSERT_EQ(na.size(), 1u);
   EXPECT_EQ(na[0].id, b);
   EXPECT_GT(na[0].last_heard, 0.0);
+}
+
+// A receiver with 1/contention_per_neighbor vehicles in range hears no
+// one: its pair loop is skipped and counted, and makes no draw.
+TEST(BeaconCounters, SaturatedReceiversAreSkipped) {
+  const geo::RoadNetwork road = geo::make_manhattan_grid(3, 3, 200.0);
+  sim::Simulator sim;
+  mobility::TrafficModel traffic(road, Rng(1));
+  ChannelConfig cfg;
+  cfg.contention_per_neighbor = 0.25;
+  Network net(sim, traffic, cfg, Rng(2));
+  std::vector<VehicleId> parked;
+  for (int i = 0; i < 4; ++i) {
+    parked.push_back(traffic.spawn_parked(LinkId{0}, 10.0 * i));
+  }
+  net.refresh();  // density 4: contention factor 1 - 0.25 * 4 = 0
+  BeaconCounters c = net.beacon_counters();
+  EXPECT_EQ(c.pairs, 12u);
+  EXPECT_EQ(c.saturated_receivers, 4u);
+  EXPECT_EQ(c.draws, 0u);
+  EXPECT_EQ(c.exact_evaluations, 0u);
+  for (const VehicleId v : parked) EXPECT_TRUE(net.neighbors(v).empty());
+
+  traffic.despawn(parked.back());
+  net.refresh();  // density 3: every pair draws against p = 0.98 * 0.25
+  c = net.beacon_counters();
+  EXPECT_EQ(c.pairs, 12u + 6u);
+  EXPECT_EQ(c.saturated_receivers, 4u);
+  EXPECT_EQ(c.draws, 6u);
+  EXPECT_EQ(c.exact_evaluations, 0u);
 }
 
 TEST_F(NetworkFixture, RsuCoversVehicle) {

@@ -168,7 +168,9 @@ TEST(Dependability, RetryBackoffDeterministicAndBaseGrowsMonotonically) {
   for (int attempt = 1; attempt <= 6; ++attempt) {
     const SimTime d = retry_backoff(cfg, attempt, rng);
     EXPECT_GT(d, prev);
-    if (attempt > 1) EXPECT_DOUBLE_EQ(d, prev * cfg.backoff);
+    if (attempt > 1) {
+      EXPECT_DOUBLE_EQ(d, prev * cfg.backoff);
+    }
     prev = d;
   }
 }
